@@ -42,7 +42,10 @@ type t = {
   queued : int array;
       (* per-CPU runnable count aggregated over tracking classes, maintained
          through [env.note_queued] so idle checks are O(1) *)
-  tasks : (int, Task.t) Hashtbl.t;
+  mutable tasks : Task.t option array;
+      (* tid -> [Some task] while it lives, [None] before and after; tids are
+         dense and never reused, so lookup is a bounds check and a load.
+         Each cell is allocated once at creation and returned as-is. *)
   mutable next_tid : int;
   mutable tick_listeners : (int -> unit) array;
   mutable n_tick_listeners : int;
@@ -187,6 +190,10 @@ let cookie_filter t cpu (task : Task.t) =
   end
 
 (* --- Reschedule plumbing -------------------------------------------------- *)
+
+(* Drop a tid from the task table (exit or kill). *)
+let forget_task t tid =
+  if tid >= 0 && tid < Array.length t.tasks then t.tasks.(tid) <- None
 
 let rec resched t cpu =
   let cs = t.cpus.(cpu) in
@@ -412,7 +419,7 @@ and advance t cs (task : Task.t) =
     cs.curr <- None;
     cs.idle_since <- now t;
     (class_of t task).on_dead ~cpu:cs.cid task;
-    Hashtbl.remove t.tasks task.tid;
+    forget_task t task.tid;
     schedule t cs.cid
 
 (* --- Task lifecycle ------------------------------------------------------- *)
@@ -435,7 +442,13 @@ let create_task t ?(policy = Task.Cfs) ?(nice = 0) ?(rt_prio = 0) ?(cookie = 0)
   let task = Task.make ~tid ~name ~policy ~nice ~affinity cont in
   task.rt_prio <- rt_prio;
   task.cookie <- cookie;
-  Hashtbl.add t.tasks tid task;
+  let cap = Array.length t.tasks in
+  if tid >= cap then begin
+    let grown = Array.make (2 * cap) None in
+    Array.blit t.tasks 0 grown 0 cap;
+    t.tasks <- grown
+  end;
+  t.tasks.(tid) <- Some task;
   task
 
 let start t (task : Task.t) =
@@ -473,7 +486,7 @@ let kill t (task : Task.t) =
   | Task.Created | Task.Blocked ->
     task.state <- Task.Dead;
     (class_of t task).on_dead ~cpu:(max task.cpu 0) task);
-  Hashtbl.remove t.tasks task.tid
+  forget_task t task.tid
 
 let set_affinity t (task : Task.t) mask =
   if Cpumask.is_empty mask then invalid_arg "Kernel.set_affinity: empty mask";
@@ -508,8 +521,14 @@ let set_policy t (task : Task.t) policy =
     | Task.Created | Task.Blocked | Task.Dead -> ()
   end
 
-let task_by_tid t tid = Hashtbl.find_opt t.tasks tid
-let tasks t = Hashtbl.fold (fun _ task acc -> task :: acc) t.tasks []
+let task_by_tid t tid =
+  if tid > 0 && tid < Array.length t.tasks then Array.unsafe_get t.tasks tid
+  else None
+
+let tasks t =
+  Array.fold_left
+    (fun acc cell -> match cell with Some task -> task :: acc | None -> acc)
+    [] t.tasks
 
 let send_ipi t ~target ~wire ~handle fn =
   t.stats.ipis <- t.stats.ipis + 1;
@@ -622,7 +641,7 @@ let create ?(core_sched = false) ?(seed = 42) machine =
       by_policy = Array.make 4 None;  (* one slot per Task.policy_rank *)
       scan_classes = [];
       queued = Array.make ncpus 0;
-      tasks = Hashtbl.create 256;
+      tasks = Array.make 256 None;
       next_tid = 1;
       tick_listeners = [||];
       n_tick_listeners = 0;

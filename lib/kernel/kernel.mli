@@ -94,7 +94,11 @@ val set_policy : t -> Task.t -> Task.policy -> unit
     sends all managed threads back to CFS, §3.4). *)
 
 val task_by_tid : t -> int -> Task.t option
+(** The live task with this tid: [None] for a tid never assigned and after
+    the task exits or is killed.  O(1) and allocation-free. *)
+
 val tasks : t -> Task.t list
+(** Every live task, in no particular order. *)
 
 (** {1 CPU state} *)
 

@@ -90,6 +90,47 @@ end
 
 (* --- Ordered run-queues ------------------------------------------------------ *)
 
+(* A growable ring of tids: the FIFO order's storage.  Unlike a linked
+   [Queue], a push allocates nothing (until the ring doubles) and a scan
+   walks one array. *)
+module Tidq = struct
+  type t = {
+    mutable buf : int array;  (* length a power of two *)
+    mutable head : int;
+    mutable len : int;
+  }
+
+  let create () = { buf = Array.make 16 0; head = 0; len = 0 }
+  let length q = q.len
+  let is_empty q = q.len = 0
+
+  let push tid q =
+    let cap = Array.length q.buf in
+    if q.len = cap then begin
+      let buf = Array.make (2 * cap) 0 in
+      for i = 0 to q.len - 1 do
+        buf.(i) <- q.buf.((q.head + i) land (cap - 1))
+      done;
+      q.buf <- buf;
+      q.head <- 0
+    end;
+    q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- tid;
+    q.len <- q.len + 1
+
+  (* Callers check [is_empty] first. *)
+  let pop q =
+    let tid = q.buf.(q.head) in
+    q.head <- (q.head + 1) land (Array.length q.buf - 1);
+    q.len <- q.len - 1;
+    tid
+
+  let iter f q =
+    let mask = Array.length q.buf - 1 in
+    for i = 0 to q.len - 1 do
+      f q.buf.((q.head + i) land mask)
+    done
+end
+
 (* One run-queue implementation for the whole library (the former
    [Policies.Runq] and the per-policy queue clones, folded together).
 
@@ -97,7 +138,16 @@ end
    already queued, {!drop} only clears the dedup bit (lazy removal), and
    {!pop} validates the popped tid against the live task table — so a tid
    re-pushed after a drop may briefly appear twice, the duplicate commit
-   fails EBUSY and is requeued, exactly the pre-DSL behavior. *)
+   fails EBUSY and is requeued, exactly the pre-DSL behavior.
+
+   Stale FIFO entries therefore accumulate between pops: under the
+   saturated shinjuku fastpath benchmark the class-0 FIFO holds about
+   140 entries on average for about 7 live tids.  Everything that reads the
+   queue's size counts them — {!length}, [Centralized.backlog], the
+   [fp_publish_min] test and the adaptive [policy.adaptive.backlog] gauge —
+   and the pop order they produce is part of the recorded digests (a
+   stale entry pops at its old position).  Any per-pass scan ({!iter})
+   must therefore cost O(1) per entry. *)
 module Rq = struct
   type dedup = (int, unit) Hashtbl.t
 
@@ -107,7 +157,7 @@ module Rq = struct
 
   type t = {
     order : order;
-    fifo : int Queue.t;
+    fifo : Tidq.t;
     heap : int Minheap.t;
     queued : dedup;
     validate : Abi.t -> Task.t -> bool;
@@ -116,7 +166,7 @@ module Rq = struct
   let make ?(size = 256) ?dedup ?validate order =
     {
       order;
-      fifo = Queue.create ();
+      fifo = Tidq.create ();
       heap = Minheap.create ();
       queued = (match dedup with Some d -> d | None -> Hashtbl.create size);
       validate =
@@ -133,7 +183,7 @@ module Rq = struct
 
   let length t =
     match t.order with
-    | Fifo -> Queue.length t.fifo
+    | Fifo -> Tidq.length t.fifo
     | Least _ -> Minheap.length t.heap
 
   let is_empty t = length t = 0
@@ -142,15 +192,15 @@ module Rq = struct
     (* Raw tids, dedup and liveness not consulted (fastpath publication
        filters with its own [task_by_tid] check). *)
     match t.order with
-    | Fifo -> Queue.iter f t.fifo
-    | Least _ -> List.iter (fun (_, tid) -> f tid) (Minheap.to_list t.heap)
+    | Fifo -> Tidq.iter f t.fifo
+    | Least _ -> Minheap.iter f t.heap
 
   let mem t tid = Hashtbl.mem t.queued tid
 
   (* Raw enqueue: no dedup check (the caller did it, e.g. {!Buckets}). *)
   let enqueue t tid =
     match t.order with
-    | Fifo -> Queue.push tid t.fifo
+    | Fifo -> Tidq.push tid t.fifo
     | Least _ -> invalid_arg "Dsl.Rq.enqueue: keyed order needs push"
 
   let push t ctx tid =
@@ -158,7 +208,7 @@ module Rq = struct
     | Fifo ->
       if not (Hashtbl.mem t.queued tid) then begin
         Hashtbl.replace t.queued tid ();
-        Queue.push tid t.fifo
+        Tidq.push tid t.fifo
       end
     | Least key ->
       if not (Hashtbl.mem t.queued tid) then begin
@@ -172,24 +222,20 @@ module Rq = struct
   let drop t tid = Hashtbl.remove t.queued tid
 
   let rec pop t ctx =
-    let next =
-      match t.order with
-      | Fifo -> (
-        match Queue.pop t.fifo with
-        | exception Queue.Empty -> None
-        | tid -> Some tid)
-      | Least _ -> (
-        match Minheap.pop t.heap with
-        | None -> None
-        | Some (_, tid) -> Some tid)
-    in
-    match next with
-    | None -> None
-    | Some tid -> (
-      Hashtbl.remove t.queued tid;
-      match Abi.task_by_tid ctx tid with
-      | Some task when t.validate ctx task -> Some task
-      | Some _ | None -> pop t ctx)
+    match t.order with
+    | Fifo -> if Tidq.is_empty t.fifo then None else take t ctx (Tidq.pop t.fifo)
+    | Least _ -> (
+      match Minheap.pop t.heap with
+      | None -> None
+      | Some (_, tid) -> take t ctx tid)
+
+  (* A popped tid: clear its dedup bit, return it if live and valid (the
+     task table's own [Some] cell, no allocation), else keep popping. *)
+  and take t ctx tid =
+    Hashtbl.remove t.queued tid;
+    match Abi.task_by_tid ctx tid with
+    | Some task as found when t.validate ctx task -> found
+    | Some _ | None -> pop t ctx
 
   (* Raw keyed-entry protocol (the Search policy's revisit loop): pop the
      minimum (key, tid) without touching the dedup bit, requeue with the
@@ -302,7 +348,12 @@ module Commit = struct
     let seq = Abi.thread_seq ctx task in
     t := Abi.make_txn ctx ~tid:task.Task.tid ~target:cpu ?thread_seq:seq () :: !t
 
-  let submit ctx (t : t) = if !t <> [] then Abi.submit ctx (List.rev !t)
+  let submit ctx (t : t) =
+    if !t <> [] then begin
+      let txns = List.rev !t in
+      t := [];
+      Abi.submit ctx txns
+    end
 end
 
 (* --- The centralized template -------------------------------------------------- *)
@@ -354,6 +405,13 @@ module Centralized = struct
     mutable on_pass : (Abi.t -> unit) option;
     mutable on_event : (Abi.t -> Msg_class.event -> unit) option;
     mutable on_committed : (Abi.t -> tid:int -> cpu:int -> unit) option;
+    (* Per-pass working state, reused so an idle pass allocates nothing. *)
+    com : Commit.t;  (* this pass's group commit; [submit] empties it *)
+    mutable pass : int;  (* stamp of the current pass *)
+    mutable assigned : int array;  (* cpu -> stamp of the pass that granted it *)
+    mutable cpus_src : int list;  (* enclave CPU list [base_cpus] came from *)
+    mutable cpus_agent : int;  (* agent CPU [base_cpus] excludes *)
+    mutable base_cpus : int list;
   }
 
   let stats t = t.stats
@@ -396,177 +454,201 @@ module Centralized = struct
     if t.nclasses = 1 then Rq.push t.queues.(0) ctx tid
     else Rq.push t.queues.(class_of t ctx tid) ctx tid
 
-  let feed t ctx msgs =
-    List.iter
-      (fun msg ->
-        Abi.charge ctx t.msg_charge;
-        let ev = Msg_class.classify msg in
-        (match t.on_event with None -> () | Some f -> f ctx ev);
-        match ev with
-        | Msg_class.Became_runnable tid ->
-          Running.forget t.running tid;
-          push t ctx tid
-        | Msg_class.Not_runnable tid ->
-          Running.forget t.running tid;
-          Array.iter (fun q -> Rq.drop q tid) t.queues
-        | Msg_class.Died tid ->
-          Running.forget t.running tid;
-          Array.iter (fun q -> Rq.drop q tid) t.queues;
-          Hashtbl.remove t.cls_of tid
-        | Msg_class.Affinity_changed _ | Msg_class.Tick _
-        | Msg_class.Cpu_available _ | Msg_class.Cpu_taken _ -> ())
-      msgs
+  let rec feed t ctx = function
+    | [] -> ()
+    | msg :: rest ->
+      Abi.charge ctx t.msg_charge;
+      let ev = Msg_class.classify msg in
+      (match t.on_event with None -> () | Some f -> f ctx ev);
+      (match ev with
+      | Msg_class.Became_runnable tid ->
+        Running.forget t.running tid;
+        push t ctx tid
+      | Msg_class.Not_runnable tid ->
+        Running.forget t.running tid;
+        Array.iter (fun q -> Rq.drop q tid) t.queues
+      | Msg_class.Died tid ->
+        Running.forget t.running tid;
+        Array.iter (fun q -> Rq.drop q tid) t.queues;
+        Hashtbl.remove t.cls_of tid
+      | Msg_class.Affinity_changed _ | Msg_class.Tick _
+      | Msg_class.Cpu_available _ | Msg_class.Cpu_taken _ -> ());
+      feed t ctx rest
+
+  (* The phases below are written as plain recursions over the CPU list so
+     a pass that finds nothing to do allocates nothing: the global agent
+     runs one pass per iteration, and most of them are idle. *)
+
+  (* The enclave CPUs minus the agent's own, refiltered only when the
+     enclave's CPU list is replaced or the agent moves. *)
+  let base_cpus t ctx ~agent_cpu =
+    let src = Abi.enclave_cpu_list ctx in
+    if src != t.cpus_src || agent_cpu <> t.cpus_agent then begin
+      t.cpus_src <- src;
+      t.cpus_agent <- agent_cpu;
+      t.base_cpus <- List.filter (fun c -> c <> agent_cpu) src
+    end;
+    t.base_cpus
+
+  let assigned t cpu = cpu < Array.length t.assigned && t.assigned.(cpu) = t.pass
+  let free t ctx cpu = (not (assigned t cpu)) && Abi.cpu_is_idle ctx cpu
+
+  let make_assign t ctx task cpu =
+    let n = Array.length t.assigned in
+    if cpu >= n then begin
+      let grown = Array.make (max (2 * n) (cpu + 1)) 0 in
+      Array.blit t.assigned 0 grown 0 n;
+      t.assigned <- grown
+    end;
+    t.assigned.(cpu) <- t.pass;
+    Commit.add ctx t.com ~charge:t.assign_charge task cpu
+
+  (* 1. Idle CPUs go to class-0 work first. *)
+  let rec fill_idle t ctx = function
+    | [] -> ()
+    | cpu :: rest ->
+      (if free t ctx cpu then
+         match Rq.pop t.queues.(0) ctx with
+         | Some task -> make_assign t ctx task cpu
+         | None -> ());
+      fill_idle t ctx rest
+
+  (* 2. Remaining class-0 work evicts lower-class threads. *)
+  let lower_running t ctx cpu =
+    (not (assigned t cpu))
+    &&
+    match Abi.curr_on ctx cpu with
+    | Some task when task.Task.policy = Task.Ghost ->
+      class_of t ctx task.Task.tid <> 0
+    | Some _ | None -> false
+
+  let rec evict t ctx = function
+    | [] -> ()
+    | cpu :: rest ->
+      (if (not (Rq.is_empty t.queues.(0))) && lower_running t ctx cpu then
+         match Rq.pop t.queues.(0) ctx with
+         | Some task ->
+           make_assign t ctx task cpu;
+           t.stats.evictions <- t.stats.evictions + 1
+         | None -> ());
+      evict t ctx rest
+
+  (* 3. Timeslice: rotate class-0 threads that ran past their slice. *)
+  let rec rotate t ctx ~now ~slice = function
+    | [] -> ()
+    | cpu :: rest ->
+      (if (not (assigned t cpu)) && not (Rq.is_empty t.queues.(0)) then
+         match Abi.curr_on ctx cpu with
+         | Some task when task.Task.policy = Task.Ghost ->
+           if
+             Running.over_slice t.running task.Task.tid ~cpu ~now ~slice
+             && (t.nclasses = 1 || class_of t ctx task.Task.tid = 0)
+           then begin
+             match Rq.pop t.queues.(0) ctx with
+             | Some next ->
+               make_assign t ctx next cpu;
+               t.stats.preemptions <- t.stats.preemptions + 1;
+               if t.forget_on_preempt then Running.forget t.running task.Task.tid
+             | None -> ()
+           end
+         | Some _ | None -> ());
+      rotate t ctx ~now ~slice rest
+
+  (* 4. Leftover idle CPUs are donated to lower classes. *)
+  let rec pop_lower t ctx c =
+    if c >= t.nclasses then None
+    else
+      match Rq.pop t.queues.(c) ctx with
+      | Some _ as found -> found
+      | None -> pop_lower t ctx (c + 1)
+
+  let rec donate t ctx donated = function
+    | [] -> ()
+    | cpu :: rest ->
+      let under = match t.donate_max with None -> true | Some m -> donated < m in
+      let donated =
+        if under && free t ctx cpu then
+          match pop_lower t ctx 1 with
+          | Some task ->
+            make_assign t ctx task cpu;
+            donated + 1
+          | None -> donated
+        else donated
+      in
+      donate t ctx donated rest
+
+  (* The fifo-centralized shape: no assigned set, the idle fill and the
+     timeslice scan each walk the CPU list afresh (Fig. 4). *)
+  let rec fill_idle_unassigned t ctx ~agent_cpu = function
+    | [] -> ()
+    | cpu :: rest ->
+      (if cpu <> agent_cpu && Abi.cpu_is_idle ctx cpu then
+         match Rq.pop t.queues.(0) ctx with
+         | Some task -> Commit.add ctx t.com ~charge:t.assign_charge task cpu
+         | None -> ());
+      fill_idle_unassigned t ctx ~agent_cpu rest
+
+  let rec rotate_unassigned t ctx ~now ~slice = function
+    | [] -> ()
+    | cpu :: rest ->
+      (if not (Rq.is_empty t.queues.(0)) then
+         match Abi.curr_on ctx cpu with
+         | Some task when task.Task.policy = Task.Ghost ->
+           if Running.over_slice t.running task.Task.tid ~cpu ~now ~slice then begin
+             match Rq.pop t.queues.(0) ctx with
+             | Some next ->
+               Commit.add ctx t.com ~charge:t.assign_charge next cpu;
+               t.stats.preemptions <- t.stats.preemptions + 1;
+               if t.forget_on_preempt then Running.forget t.running task.Task.tid
+             | None -> ()
+           end
+         | Some _ | None -> ());
+      rotate_unassigned t ctx ~now ~slice rest
 
   let schedule t ctx msgs =
     feed t ctx msgs;
     (match t.fp with None -> () | Some fp -> Fastpath.reconcile fp ctx);
     (match t.on_pass with None -> () | Some f -> f ctx);
     let agent_cpu = Abi.cpu ctx in
-    let com = Commit.create () in
     if t.track_assigned then begin
-      let assigned = Hashtbl.create 8 in
-      let base_cpus =
-        List.filter (fun c -> c <> agent_cpu) (Abi.enclave_cpu_list ctx)
-      in
+      t.pass <- t.pass + 1;
+      let base_cpus = base_cpus t ctx ~agent_cpu in
       let cpus = t.cpu_rank ctx base_cpus in
-      let free c = (not (Hashtbl.mem assigned c)) && Abi.cpu_is_idle ctx c in
-      let make_assign task cpu =
-        Hashtbl.replace assigned cpu ();
-        Commit.add ctx com ~charge:t.assign_charge task cpu
-      in
-      (* 1. Idle CPUs go to class-0 work first. *)
-      List.iter
-        (fun cpu ->
-          if free cpu then begin
-            match Rq.pop t.queues.(0) ctx with
-            | Some task -> make_assign task cpu
-            | None -> ()
-          end)
-        cpus;
-      (* 2. Remaining class-0 work evicts lower-class threads. *)
-      if t.evict_lower then begin
-        let lower_running cpu =
-          (not (Hashtbl.mem assigned cpu))
-          &&
-          match Abi.curr_on ctx cpu with
-          | Some task when task.Task.policy = Task.Ghost ->
-            class_of t ctx task.Task.tid <> 0
-          | Some _ | None -> false
-        in
-        List.iter
-          (fun cpu ->
-            if (not (Rq.is_empty t.queues.(0))) && lower_running cpu then begin
-              match Rq.pop t.queues.(0) ctx with
-              | Some task ->
-                make_assign task cpu;
-                t.stats.evictions <- t.stats.evictions + 1
-              | None -> ()
-            end)
-          cpus
-      end;
-      (* 3. Timeslice: rotate class-0 threads that ran past their slice. *)
+      fill_idle t ctx cpus;
+      if t.evict_lower then evict t ctx cpus;
       (match t.timeslice with
       | None -> ()
-      | Some slice ->
-        let now = Abi.now ctx in
-        List.iter
-          (fun cpu ->
-            if
-              (not (Hashtbl.mem assigned cpu))
-              && not (Rq.is_empty t.queues.(0))
-            then begin
-              match Abi.curr_on ctx cpu with
-              | Some task when task.Task.policy = Task.Ghost ->
-                if
-                  Running.over_slice t.running task.Task.tid ~cpu ~now ~slice
-                  && (t.nclasses = 1 || class_of t ctx task.Task.tid = 0)
-                then begin
-                  match Rq.pop t.queues.(0) ctx with
-                  | Some next ->
-                    make_assign next cpu;
-                    t.stats.preemptions <- t.stats.preemptions + 1;
-                    if t.forget_on_preempt then
-                      Running.forget t.running task.Task.tid
-                  | None -> ()
-                end
-              | Some _ | None -> ()
-            end)
-          cpus);
-      (* 4. Leftover idle CPUs are donated to lower classes. *)
-      if t.donate_idle && t.nclasses > 1 then begin
-        let donated = ref 0 in
-        let rec pop_lower c =
-          if c >= t.nclasses then None
-          else
-            match Rq.pop t.queues.(c) ctx with
-            | Some task -> Some task
-            | None -> pop_lower (c + 1)
-        in
-        List.iter
-          (fun cpu ->
-            let under =
-              match t.donate_max with None -> true | Some m -> !donated < m
-            in
-            if under && free cpu then begin
-              match pop_lower 1 with
-              | Some task ->
-                make_assign task cpu;
-                incr donated
-              | None -> ()
-            end)
-          (t.donate_rank ctx base_cpus)
-      end
+      | Some slice -> rotate t ctx ~now:(Abi.now ctx) ~slice cpus);
+      if t.donate_idle && t.nclasses > 1 then
+        donate t ctx 0 (t.donate_rank ctx base_cpus)
     end
     else begin
-      (* The fifo-centralized shape: no assigned set, the idle fill and
-         the timeslice scan each walk the CPU list afresh (Fig. 4). *)
-      List.iter
-        (fun cpu ->
-          if cpu <> agent_cpu then begin
-            if Abi.cpu_is_idle ctx cpu then begin
-              match Rq.pop t.queues.(0) ctx with
-              | Some task -> Commit.add ctx com ~charge:t.assign_charge task cpu
-              | None -> ()
-            end
-          end)
+      fill_idle_unassigned t ctx ~agent_cpu
         (t.cpu_rank ctx (Abi.enclave_cpu_list ctx));
       match t.timeslice with
       | None -> ()
       | Some slice ->
-        let now = Abi.now ctx in
-        List.iter
-          (fun cpu ->
-            if not (Rq.is_empty t.queues.(0)) then begin
-              match Abi.curr_on ctx cpu with
-              | Some task when task.Task.policy = Task.Ghost ->
-                if Running.over_slice t.running task.Task.tid ~cpu ~now ~slice
-                then begin
-                  match Rq.pop t.queues.(0) ctx with
-                  | Some next ->
-                    Commit.add ctx com ~charge:t.assign_charge next cpu;
-                    t.stats.preemptions <- t.stats.preemptions + 1;
-                    if t.forget_on_preempt then
-                      Running.forget t.running task.Task.tid
-                  | None -> ()
-                end
-              | Some _ | None -> ()
-            end)
+        rotate_unassigned t ctx ~now:(Abi.now ctx) ~slice
           (Abi.enclave_cpu_list ctx)
     end;
     (* 5. §3.5: class-0 work still waiting goes to the BPF pick ring so a
-       CPU idling before our next pass dispatches it without a round-trip. *)
+       CPU idling before our next pass dispatches it without a round-trip.
+       The O(1) membership test runs first: the queue's stale entries
+       make it many times longer than its live tids, and [publish] would
+       refuse these without touching the ring anyway. *)
     (match t.fp with
     | None -> ()
     | Some fp ->
       if Rq.length t.queues.(0) >= t.fp_publish_min then
         Rq.iter
           (fun tid ->
-            match Abi.task_by_tid ctx tid with
-            | Some task when Task.is_runnable task ->
-              ignore (Fastpath.publish fp ctx tid)
-            | Some _ | None -> ())
+            if not (Fastpath.published fp tid) then
+              match Abi.task_by_tid ctx tid with
+              | Some task when Task.is_runnable task ->
+                ignore (Fastpath.publish fp ctx tid)
+              | Some _ | None -> ())
           t.queues.(0));
-    Commit.submit ctx com
+    Commit.submit ctx t.com
 
   let on_outcome t ctx (o : Outcome.t) =
     match o with
@@ -619,6 +701,12 @@ module Centralized = struct
         on_pass = None;
         on_event = None;
         on_committed = None;
+        com = Commit.create ();
+        pass = 0;
+        assigned = Array.make 64 0;
+        cpus_src = [];
+        cpus_agent = -1;
+        base_cpus = [];
       }
     in
     let pol =

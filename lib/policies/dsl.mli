@@ -73,7 +73,12 @@ end
     already queued, {!drop} only clears the dedup bit (lazy removal), and
     {!pop} validates the popped tid against the live task table — so a tid
     re-pushed after a drop may briefly appear twice, the duplicate commit
-    fails EBUSY and is requeued, exactly the pre-DSL behavior. *)
+    fails EBUSY and is requeued, exactly the pre-DSL behavior.
+
+    Stale FIFO entries therefore accumulate between pops (about 140 for
+    about 7 live tids under the saturated shinjuku fastpath benchmark),
+    pop at their old positions, and are counted by {!length}; a per-pass
+    scan must cost O(1) per entry. *)
 module Rq : sig
   type dedup = (int, unit) Hashtbl.t
   (** Shareable dedup table: pass the same one to several queues and a tid
@@ -109,6 +114,8 @@ module Rq : sig
   (** [least] under its scheduling name: earliest deadline first. *)
 
   val length : t -> int
+  (** Entries, stale ones included. *)
+
   val is_empty : t -> bool
 
   val iter : (int -> unit) -> t -> unit
@@ -212,7 +219,8 @@ module Commit : sig
       targeting [cpu]; [charge] bills agent compute for the decision. *)
 
   val submit : Abi.t -> t -> unit
-  (** Submit in {!add} order; a no-op when nothing accumulated. *)
+  (** Submit in {!add} order and empty [t] for the next pass; a no-op when
+      nothing accumulated. *)
 end
 
 (** The centralized template: one spinning global agent, N priority
@@ -235,7 +243,7 @@ module Centralized : sig
   val stats : t -> stats
 
   val backlog : t -> int
-  (** Class-0 queue depth right now. *)
+  (** Class-0 queue depth right now, stale entries included ({!Rq.length}). *)
 
   (* Live-tunable knob cells: static policies set them once at build time;
      the adaptive controller rewrites them between passes. *)

@@ -5,8 +5,9 @@
    the shared ring so a CPU that would otherwise idle between agent
    passes picks one up without a round-trip.
 
-   The agent mirrors its own ring writes ([mirror]/[present]) so a tid is
-   published at most once until the kernel consumes its slot.  The tick
+   The agent mirrors its own ring writes ([mirror], and the [present]
+   bitmap over tids) so a tid is published at most once until the kernel
+   consumes its slot.  The tick
    program also produces into the same ring, which is why [reconcile]
    reads both cursors back from the map instead of trusting local state:
    the map is the single source of truth, the mirror only remembers which
@@ -20,7 +21,9 @@ type t = {
   cap : int;
   mask : int;
   mirror : int array;  (* ring slot -> tid we published there, or -1 *)
-  present : (int, unit) Hashtbl.t;  (* tids currently published by us *)
+  mutable present : Bytes.t;
+      (* tid-indexed bitmap of the tids currently published by us; grows
+         on demand (tids are dense) *)
   mutable head_seen : int;  (* consumer cursor at our last reconcile *)
 }
 
@@ -31,33 +34,57 @@ let create ?(cap = 256) () =
     cap;
     mask = cap - 1;
     mirror = Array.make cap (-1);
-    present = Hashtbl.create 64;
+    present = Bytes.make 64 '\000';
     head_seen = 0;
   }
 
 let cap t = t.cap
 
-let cursors ctx =
-  let head =
-    match Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_head with
-    | Some h -> h
-    | None -> 0
-  in
-  let tail =
-    match Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_tail with
-    | Some t -> t
-    | None -> 0
-  in
-  (head, tail)
+let published t tid =
+  let byte = tid lsr 3 in
+  tid >= 0
+  && byte < Bytes.length t.present
+  && Char.code (Bytes.unsafe_get t.present byte) land (1 lsl (tid land 7)) <> 0
+
+let mark t tid =
+  let byte = tid lsr 3 in
+  let len = Bytes.length t.present in
+  if byte >= len then begin
+    let grown = Bytes.make (max (2 * len) (byte + 1)) '\000' in
+    Bytes.blit t.present 0 grown 0 len;
+    t.present <- grown
+  end;
+  Bytes.set t.present byte
+    (Char.unsafe_chr (Char.code (Bytes.get t.present byte) lor (1 lsl (tid land 7))))
+
+let unmark t tid =
+  if published t tid then begin
+    let byte = tid lsr 3 in
+    Bytes.set t.present byte
+      (Char.unsafe_chr
+         (Char.code (Bytes.get t.present byte) land lnot (1 lsl (tid land 7))))
+  end
+
+(* The two ring cursors, each one charged map read (head before tail). *)
+let head ctx =
+  match Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_head with
+  | Some h -> h
+  | None -> 0
+
+let tail ctx =
+  match Abi.bpf_map_get ctx ~map:Bpf.Kit.ring_meta ~idx:Bpf.Kit.meta_tail with
+  | Some t -> t
+  | None -> 0
 
 (* Drop consumed slots from the mirror so their tids become publishable
    again.  Call once per agent pass, before publishing. *)
 let reconcile t ctx =
-  let head, _tail = cursors ctx in
+  let head = head ctx in
+  ignore (tail ctx : int);
   let consumed = head - t.head_seen in
   if consumed >= t.cap then begin
     Array.fill t.mirror 0 t.cap (-1);
-    Hashtbl.reset t.present
+    Bytes.fill t.present 0 (Bytes.length t.present) '\000'
   end
   else
     for i = t.head_seen to head - 1 do
@@ -65,7 +92,7 @@ let reconcile t ctx =
       let tid = t.mirror.(slot) in
       if tid >= 0 then begin
         t.mirror.(slot) <- -1;
-        Hashtbl.remove t.present tid
+        unmark t tid
       end
     done;
   t.head_seen <- head
@@ -73,9 +100,11 @@ let reconcile t ctx =
 (* Publish [tid] into the ring unless it is already there or the ring is
    full.  Returns whether a slot was written. *)
 let publish t ctx tid =
-  if Hashtbl.mem t.present tid then false
+  if tid < 0 then invalid_arg "Fastpath.publish: negative tid";
+  if published t tid then false
   else begin
-    let head, tail = cursors ctx in
+    let head = head ctx in
+    let tail = tail ctx in
     if tail - head >= t.cap then false
     else begin
       let slot = tail land t.mask in
@@ -86,16 +115,16 @@ let publish t ctx tid =
       (* A tick-program entry may still sit in this slot's mirror position
          from a previous lap; ours replaces it. *)
       (let old = t.mirror.(slot) in
-       if old >= 0 then Hashtbl.remove t.present old);
+       if old >= 0 then unmark t old);
       t.mirror.(slot) <- tid;
-      Hashtbl.replace t.present tid ();
+      mark t tid;
       true
     end
   end
 
 let depth ctx =
-  let head, tail = cursors ctx in
-  tail - head
+  let head = head ctx in
+  tail ctx - head
 
 (* --- Program installation helpers ----------------------------------- *)
 

@@ -23,7 +23,13 @@ val reconcile : t -> Ghost.Abi.t -> unit
 
 val publish : t -> Ghost.Abi.t -> int -> bool
 (** Publish a runnable tid into the ring unless already present or the
-    ring is full.  Returns whether a slot was written. *)
+    ring is full.  Returns whether a slot was written.
+    @raise Invalid_argument on a negative tid. *)
+
+val published : t -> int -> bool
+(** Is the tid in a ring slot we wrote and the kernel has not consumed (as
+    of the last {!reconcile})?  O(1), touches no map and charges nothing:
+    {!publish} is a no-op for exactly these tids. *)
 
 val depth : Ghost.Abi.t -> int
 (** Entries currently queued in the ring (tail - head). *)

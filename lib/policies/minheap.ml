@@ -65,5 +65,10 @@ let pop t =
 let peek t = if t.size = 0 then None else Some (t.heap.(0).key, t.heap.(0).value)
 let clear t = t.size <- 0
 
+let iter f t =
+  for i = 0 to t.size - 1 do
+    f t.heap.(i).value
+  done
+
 let to_list t =
   List.init t.size (fun i -> (t.heap.(i).key, t.heap.(i).value))

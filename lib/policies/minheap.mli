@@ -14,5 +14,9 @@ val pop : 'a t -> (int * 'a) option
 
 val peek : 'a t -> (int * 'a) option
 val clear : 'a t -> unit
+val iter : ('a -> unit) -> 'a t -> unit
+(** [iter f t] calls [f] on every value in heap-slot order (the order of
+    {!to_list}), allocating nothing.  [f] must not modify [t]. *)
+
 val to_list : 'a t -> (int * 'a) list
 (** Unordered snapshot. *)

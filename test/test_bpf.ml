@@ -206,13 +206,16 @@ let test_no_program_bit_identity () =
 
 (* --- Fastpath scheduling properties ----------------------------------------- *)
 
-let run_openloop ~seed ~fastpath =
+(* Shinjuku on 4 CPUs under open-loop load.  [step], when given, runs the
+   kernel in slices of that length and samples the class-0 backlog after
+   each. *)
+let openloop_run ?(rate = 150_000.0) ?step ~seed ~fastpath () =
   let k, sys = setup 4 in
   let e = System.create_enclave sys ~cpus:(Kernel.full_mask k) () in
-  let _st, pol = Policies.Shinjuku.policy ~fastpath ~is_batch:(fun _ -> false) () in
+  let st, pol = Policies.Shinjuku.policy ~fastpath ~is_batch:(fun _ -> false) () in
   let _g = Agent.attach_global sys e ~min_iteration:(us 20) ~idle_gap:(us 50) pol in
   let ol =
-    Workloads.Openloop.create k ~seed ~rate:150_000.0
+    Workloads.Openloop.create k ~seed ~rate
       ~service:(Sim.Dist.Const 8_000.0) ~nworkers:16
       ~spawn:(fun ~idx b ->
         let t = Kernel.create_task k ~name:(Printf.sprintf "w%d" idx) b in
@@ -222,7 +225,18 @@ let run_openloop ~seed ~fastpath =
   in
   Workloads.Openloop.start ol ~until:(ms 30);
   (* Generous drain window: every offered request must complete. *)
-  Kernel.run_until k (ms 45);
+  let max_backlog = ref 0 in
+  (match step with
+  | None -> Kernel.run_until k (ms 45)
+  | Some dt ->
+    while Kernel.now k < ms 45 do
+      Kernel.run_until k (min (ms 45) (Kernel.now k + dt));
+      max_backlog := max !max_backlog (Policies.Shinjuku.lc_backlog st)
+    done);
+  (k, sys, st, ol, !max_backlog)
+
+let run_openloop ~seed ~fastpath =
+  let _k, sys, _st, ol, _ = openloop_run ~seed ~fastpath () in
   ( Workloads.Openloop.offered ol,
     Workloads.Recorder.completed (Workloads.Openloop.recorder ol),
     (System.stats sys).System.bpf_picks )
@@ -315,6 +329,88 @@ let test_grace_window_service () =
   check_bool "grace expiry destroys the enclave" true
     (!destroyed = Some System.Agent_crash)
 
+(* --- Fastpath publication mirror ----------------------------------------------- *)
+
+let test_fastpath_mirror () =
+  let module F = Policies.Fastpath in
+  let ctx, consume = Abi_stub.make () in
+  let fp = F.create ~cap:8 () in
+  (* Tids far beyond the membership bitmap's initial size. *)
+  List.iter
+    (fun tid ->
+      check_bool (Printf.sprintf "publish %d" tid) true (F.publish fp ctx tid);
+      check_bool (Printf.sprintf "%d published" tid) true (F.published fp tid))
+    [ 3; 700; 100_000 ];
+  check_bool "republish refused" false (F.publish fp ctx 700);
+  check_bool "unpublished tid" false (F.published fp 701);
+  check_bool "negative tid" false (F.published fp (-3));
+  check_int "ring depth" 3 (F.depth ctx);
+  (* The kernel consumes the first slot: that tid may be published again. *)
+  consume 1;
+  F.reconcile fp ctx;
+  check_bool "consumed tid released" false (F.published fp 3);
+  check_bool "others still published" true (F.published fp 700);
+  check_bool "consumed tid republished" true (F.publish fp ctx 3);
+  (* Fill the ring: a full ring refuses without marking. *)
+  List.iter (fun tid -> ignore (F.publish fp ctx tid)) [ 10; 11; 12; 13; 14 ];
+  check_int "ring full" 8 (F.depth ctx);
+  check_bool "full ring refuses" false (F.publish fp ctx 15);
+  check_bool "refused tid not marked" false (F.published fp 15);
+  (* A whole ring's worth consumed between passes: the mirror resets and
+     every membership bit clears. *)
+  consume 8;
+  F.reconcile fp ctx;
+  List.iter
+    (fun tid ->
+      check_bool (Printf.sprintf "%d cleared by reset" tid) false
+        (F.published fp tid))
+    [ 3; 700; 100_000; 10; 14 ];
+  check_bool "publishable after reset" true (F.publish fp ctx 100_000)
+
+(* --- Identity golden ------------------------------------------------------- *)
+
+(* A saturated shinjuku?fastpath=true run: 260k req/s of 8 us requests on 3
+   worker CPUs outruns the agent, so the lazily-deleted FIFO carries stale
+   duplicates (more entries than the 16 worker tids).  The digest of its
+   canonical report pins the modeled behaviour of the centralized pass, the
+   fastpath publication and the pick ring; it may only change with a
+   deliberate behaviour change. *)
+let saturated_golden = "1840735f3e935839afaf3e5ec678ca45"
+
+let test_saturated_golden () =
+  let k, sys, st, ol, max_backlog =
+    openloop_run ~rate:260_000.0 ~step:(us 50) ~seed:11 ~fastpath:true ()
+  in
+  check_bool
+    (Printf.sprintf "FIFO carried stale duplicates (max backlog %d)" max_backlog)
+    true (max_backlog > 16);
+  let rec_ = Workloads.Openloop.recorder ol in
+  let ks = Kernel.stats k and gs = System.stats sys in
+  let ss = Policies.Shinjuku.stats st in
+  let report =
+    Printf.sprintf
+      "offered=%d completed=%d p50=%d p99=%d p999=%d\n\
+       kernel ctx=%d ipis=%d wakeups=%d resched=%d\n\
+       ghost msgs=%d commits=%d fails=%d estales=%d picks=%d misses=%d \
+       fallbacks=%d rejects=%d drops=%d\n\
+       shinjuku lc=%d be=%d preempt=%d evict=%d estales=%d max_backlog=%d\n"
+      (Workloads.Openloop.offered ol)
+      (Workloads.Recorder.completed rec_)
+      (Workloads.Recorder.p rec_ 50.0) (Workloads.Recorder.p rec_ 99.0)
+      (Workloads.Recorder.p rec_ 99.9)
+      ks.Kernel.ctx_switches ks.Kernel.ipis ks.Kernel.wakeups ks.Kernel.reschedules
+      gs.System.msgs_posted gs.System.commits gs.System.commit_failures
+      gs.System.estales gs.System.bpf_picks gs.System.bpf_misses
+      gs.System.bpf_fallbacks gs.System.bpf_verifier_rejects gs.System.msg_drops
+      ss.Policies.Central.lc_scheduled ss.Policies.Central.be_scheduled
+      ss.Policies.Central.lc_preemptions ss.Policies.Central.be_evictions
+      ss.Policies.Central.estales max_backlog
+  in
+  Alcotest.(check string)
+    ("canonical report digest of:\n" ^ report)
+    saturated_golden
+    (Digest.to_hex (Digest.string report))
+
 (* --- Suite ------------------------------------------------------------------- *)
 
 let () =
@@ -331,8 +427,13 @@ let () =
         ] );
       ("vm", [ Alcotest.test_case "execution basics" `Quick test_vm_basics ]);
       ("maps", [ Alcotest.test_case "plumbing + bounds" `Quick test_map_plumbing ]);
+      ( "fastpath",
+        [ Alcotest.test_case "publication mirror" `Quick test_fastpath_mirror ] );
       ( "identity",
-        [ Alcotest.test_case "rejected install is inert" `Quick test_no_program_bit_identity ] );
+        [
+          Alcotest.test_case "rejected install is inert" `Quick test_no_program_bit_identity;
+          Alcotest.test_case "saturated shinjuku golden" `Quick test_saturated_golden;
+        ] );
       ( "scheduling",
         qsuite
         @ [ Alcotest.test_case "work conservation" `Quick test_work_conservation ] );

@@ -278,6 +278,46 @@ let test_kill () =
   check_bool "dead" true (t.Task.state = Task.Dead);
   check_bool "cpu reused (idle)" true (Kernel.cpu_idle k 0)
 
+(* The tid-indexed task table: a lookup answers only for live tasks. *)
+let test_task_table () =
+  let k = Kernel.create (tiny 1) in
+  let finite, _ = finite_task k ~name:"finite" ~total:(ms 1) () in
+  let victim =
+    Kernel.create_task k ~name:"victim" (Task.compute_forever ~slice:(ms 1))
+  in
+  let is_live tid = Kernel.task_by_tid k tid <> None in
+  check_bool "tid 0" false (is_live 0);
+  check_bool "negative tid" false (is_live (-1));
+  check_bool "tid never assigned" false (is_live (victim.Task.tid + 1));
+  check_bool "far past the table" false (is_live 1_000_000);
+  let lands_on (t : Task.t) =
+    match Kernel.task_by_tid k t.Task.tid with
+    | Some found -> found == t
+    | None -> false
+  in
+  check_bool "created task found" true (lands_on finite);
+  Kernel.start k finite;
+  Kernel.start k victim;
+  Kernel.run_until k (ms 5);
+  check_bool "exited task gone" false (is_live finite.Task.tid);
+  check_bool "victim alive" true (is_live victim.Task.tid);
+  Kernel.kill k victim;
+  check_bool "killed task gone" false (is_live victim.Task.tid);
+  check_int "no live tasks" 0 (List.length (Kernel.tasks k));
+  (* Past the table's initial size: every lookup still lands on its task,
+     and [tasks] lists exactly the live ones. *)
+  let many =
+    Array.init 600 (fun i ->
+        Kernel.create_task k ~name:(Printf.sprintf "t%d" i)
+          (Task.compute_forever ~slice:(ms 1)))
+  in
+  check_bool "every lookup lands on its task" true (Array.for_all lands_on many);
+  Kernel.kill k many.(300);
+  check_bool "killed past the initial size" false (is_live many.(300).Task.tid);
+  check_int "live tasks listed" 599 (List.length (Kernel.tasks k));
+  check_bool "tids dense, never reused" true
+    (many.(599).Task.tid = victim.Task.tid + 600)
+
 let test_core_scheduling_isolation () =
   (* One physical core, two hyperthreads, tasks of two different VMs: with
      core scheduling they must never run concurrently. *)
@@ -440,6 +480,7 @@ let () =
           Alcotest.test_case "block/wake" `Quick test_block_wake;
           Alcotest.test_case "wake noop" `Quick test_wake_is_noop_unless_blocked;
           Alcotest.test_case "kill" `Quick test_kill;
+          Alcotest.test_case "task table lookups" `Quick test_task_table;
           Alcotest.test_case "idle accounting" `Quick test_idle_accounting;
           Alcotest.test_case "switch counting" `Quick test_context_switch_counting;
           Alcotest.test_case "queued-count invariant" `Quick

@@ -73,6 +73,80 @@ let test_minheap_misc () =
   Policies.Minheap.clear h;
   check_bool "cleared" true (Policies.Minheap.is_empty h)
 
+let test_minheap_iter () =
+  (* [iter] walks heap slots in [to_list] order, values only. *)
+  let h = Policies.Minheap.create () in
+  List.iter (fun k -> Policies.Minheap.push h ~key:k (k * 10)) [ 5; 3; 9; 1; 7; 3 ];
+  ignore (Policies.Minheap.pop h);
+  let seen = ref [] in
+  Policies.Minheap.iter (fun v -> seen := v :: !seen) h;
+  Alcotest.(check (list int))
+    "heap-slot order" (List.map snd (Policies.Minheap.to_list h)) (List.rev !seen)
+
+(* --- Dsl.Rq lazy deletion --------------------------------------------------- *)
+
+(* Pins the FIFO order that lazy deletion produces, which the recorded
+   report digests depend on: a dropped tid's entry stays where it was, so
+   a re-pushed tid pops at its old position and then once more. *)
+let test_rq_lazy_deletion_order () =
+  let module Rq = Policies.Dsl.Rq in
+  let k = Kernel.create (machine 1) in
+  let ctx, _ = Abi_stub.make ~kernel:k () in
+  let spawn name =
+    let t = Kernel.create_task k ~name (Task.compute_forever ~slice:(us 100)) in
+    Kernel.start k t;
+    t
+  in
+  let a = spawn "a" and b = spawn "b" in
+  let rq = Rq.fifo () in
+  Rq.push rq ctx a.Task.tid;
+  Rq.push rq ctx b.Task.tid;
+  Rq.drop rq a.Task.tid;
+  check_bool "drop clears the dedup bit" false (Rq.mem rq a.Task.tid);
+  Rq.push rq ctx a.Task.tid;
+  check_int "stale entry still counted" 3 (Rq.length rq);
+  let pop () =
+    match Rq.pop rq ctx with Some t -> t.Task.name | None -> "-"
+  in
+  let order = List.init 4 (fun _ -> pop ()) in
+  Alcotest.(check (list string))
+    "a at its old position, then b, then a again" [ "a"; "b"; "a"; "-" ] order;
+  (* Once the tid is no longer runnable, both of its entries are skipped. *)
+  Rq.push rq ctx a.Task.tid;
+  Rq.push rq ctx b.Task.tid;
+  Rq.drop rq a.Task.tid;
+  Rq.push rq ctx a.Task.tid;
+  Kernel.kill k a;
+  let order = List.init 2 (fun _ -> pop ()) in
+  Alcotest.(check (list string)) "dead tid's entries skipped" [ "b"; "-" ] order
+
+(* FIFO order holds while the queue's storage wraps around and grows. *)
+let test_rq_fifo_wraps_and_grows () =
+  let module Rq = Policies.Dsl.Rq in
+  let k = Kernel.create (machine 1) in
+  let ctx, _ = Abi_stub.make ~kernel:k () in
+  let tids =
+    Array.init 60 (fun i ->
+        let t =
+          Kernel.create_task k ~name:(string_of_int i)
+            (Task.compute_forever ~slice:(us 100))
+        in
+        Kernel.start k t;
+        t.Task.tid)
+  in
+  let rq = Rq.fifo () in
+  let pop () =
+    match Rq.pop rq ctx with Some t -> t.Task.tid | None -> -1
+  in
+  for i = 0 to 11 do Rq.push rq ctx tids.(i) done;
+  let first = List.init 10 (fun _ -> pop ()) in
+  for i = 12 to 59 do Rq.push rq ctx tids.(i) done;
+  let rest = List.init 51 (fun _ -> pop ()) in
+  Alcotest.(check (list int))
+    "pushed order, then empty"
+    (Array.to_list tids @ [ -1 ])
+    (first @ rest)
+
 (* --- Msg_class ------------------------------------------------------------ *)
 
 let test_msg_class () =
@@ -424,6 +498,14 @@ let () =
         [
           Alcotest.test_case "fifo ties" `Quick test_minheap_fifo_ties;
           Alcotest.test_case "misc ops" `Quick test_minheap_misc;
+          Alcotest.test_case "iter order" `Quick test_minheap_iter;
+        ] );
+      ( "dsl-rq",
+        [
+          Alcotest.test_case "lazy-deletion fifo order" `Quick
+            test_rq_lazy_deletion_order;
+          Alcotest.test_case "fifo order across growth" `Quick
+            test_rq_fifo_wraps_and_grows;
         ] );
       ("msg-class", [ Alcotest.test_case "mapping" `Quick test_msg_class ]);
       ( "central",
