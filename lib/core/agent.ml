@@ -16,6 +16,9 @@ and group = {
   pol : policy;
   mode : mode;
   mutable cpu_list : int list;
+  default_queues : Squeue.t list;  (* [[default_queue]]: the global pass's queues *)
+  siblings : int array;  (* SMT sibling per CPU; -1 = none *)
+  conts : (unit -> Task.action) array;  (* per-CPU agent continuation *)
   mutable orphans : Squeue.t list;
       (* per-CPU queues of removed CPUs, drained by the watcher agent *)
   agents : (int, Task.t) Hashtbl.t;
@@ -125,16 +128,19 @@ let poke ctx target =
   | None -> ()
 
 let drain_list ctx q =
-  let tnow = now ctx in
-  let consume = (Kernel.costs ctx.group.kern).Hw.Costs.msg_consume in
-  let rec go acc =
-    match Squeue.consume q ~now:tnow with
-    | Some msg ->
-      charge ctx consume;
-      go (msg :: acc)
-    | None -> List.rev acc
-  in
-  go []
+  if Squeue.length q = 0 then []
+  else begin
+    let tnow = now ctx in
+    let consume = (Kernel.costs ctx.group.kern).Hw.Costs.msg_consume in
+    let rec go acc =
+      match Squeue.consume q ~now:tnow with
+      | Some msg ->
+        charge ctx consume;
+        go (msg :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  end
 
 let drain ctx q = drain_list ctx q
 
@@ -212,32 +218,34 @@ let get_abi g =
 let scale_f f x = int_of_float (Float.round (f *. float_of_int x))
 
 let commit_cost g ~agent_cpu batches =
-  let c = Kernel.costs g.kern in
-  let topo = Kernel.topo g.kern in
-  let batch_cost (_, txns) =
-    match txns with
-    | [] -> 0
-    | [ (t1 : Txn.t) ] when t1.target_cpu = agent_cpu -> c.Hw.Costs.txn_commit_local
-    | txns ->
-      let per_txn (txn : Txn.t) =
-        if Hw.Topology.same_socket topo agent_cpu txn.Txn.target_cpu then
-          c.Hw.Costs.txn_group_per_txn
-        else scale_f c.Hw.Costs.cross_socket_op c.Hw.Costs.txn_group_per_txn
-      in
-      c.Hw.Costs.txn_group_fixed
-      + List.fold_left (fun acc txn -> acc + per_txn txn) 0 txns
-  in
-  List.fold_left (fun acc b -> acc + batch_cost b) 0 batches
+  if batches = [] then 0
+  else begin
+    let c = Kernel.costs g.kern in
+    let topo = Kernel.topo g.kern in
+    let batch_cost (_, txns) =
+      match txns with
+      | [] -> 0
+      | [ (t1 : Txn.t) ] when t1.target_cpu = agent_cpu -> c.Hw.Costs.txn_commit_local
+      | txns ->
+        let per_txn (txn : Txn.t) =
+          if Hw.Topology.same_socket topo agent_cpu txn.Txn.target_cpu then
+            c.Hw.Costs.txn_group_per_txn
+          else scale_f c.Hw.Costs.cross_socket_op c.Hw.Costs.txn_group_per_txn
+        in
+        c.Hw.Costs.txn_group_fixed
+        + List.fold_left (fun acc txn -> acc + per_txn txn) 0 txns
+    in
+    List.fold_left (fun acc b -> acc + batch_cost b) 0 batches
+  end
 
 let sibling_busy g cpu =
-  match Hw.Topology.sibling_of (Kernel.topo g.kern) cpu with
-  | Some s -> Kernel.curr g.kern s <> None
-  | None -> false
+  let s = g.siblings.(cpu) in
+  s >= 0 && Kernel.curr g.kern s <> None
 
 (* One scheduling pass: drain [queues], run the policy, then occupy the CPU
    for the charged interval; commits validate and apply when it ends, so
    messages arriving meanwhile produce ESTALE (§3.2). *)
-let run_pass g ~cpu ~queues ~after_apply =
+let run_pass g ~cpu ~queues =
   let ctx = get_ctx g in
   ctx.cur_cpu <- cpu;
   ctx.charged <- base_pass_cost;
@@ -250,7 +258,11 @@ let run_pass g ~cpu ~queues ~after_apply =
         ~eid:(System.enclave_id g.enc)
     else 0
   in
-  let msgs = List.concat_map (fun q -> drain_list ctx q) queues in
+  let msgs =
+    match queues with
+    | [ q ] -> drain_list ctx q
+    | queues -> List.concat_map (fun q -> drain_list ctx q) queues
+  in
   g.pol.schedule (get_abi g) msgs;
   let batches = List.rev ctx.batches in
   ctx.charged <- ctx.charged + commit_cost g ~agent_cpu:cpu batches;
@@ -263,28 +275,28 @@ let run_pass g ~cpu ~queues ~after_apply =
   let idle_pass = msgs = [] && batches = [] in
   let floor = if idle_pass then g.idle_gap else g.min_iteration in
   let delta = max floor charged in
-  Task.Run
-    {
-      ns = delta;
-      after =
-        (fun () ->
-          let agent_sw = Some (sw_of g cpu) in
-          List.iter
-            (fun (atomic, txns) ->
-              System.commit g.sys g.enc ~agent_cpu:cpu ~agent_sw ~atomic txns)
-            batches;
-          List.iter
-            (fun (_, txns) ->
-              List.iter (fun txn -> g.pol.on_result (get_abi g) txn) txns)
-            batches;
-          if pass_span <> 0 then
-            Obs.Hooks.agent_pass_end ~now:(Kernel.now g.kern) ~began:pass_start
-              ~id:pass_span ~nmsgs:(List.length msgs)
-              ~ntxns:
-                (List.fold_left (fun acc (_, txns) -> acc + List.length txns) 0
-                   batches);
-          after_apply ());
-    }
+  let k = g.conts.(cpu) in
+  let after =
+    if batches = [] && pass_span = 0 then k
+    else fun () ->
+      let agent_sw = Some (sw_of g cpu) in
+      List.iter
+        (fun (atomic, txns) ->
+          System.commit g.sys g.enc ~agent_cpu:cpu ~agent_sw ~atomic txns)
+        batches;
+      List.iter
+        (fun (_, txns) ->
+          List.iter (fun txn -> g.pol.on_result (get_abi g) txn) txns)
+        batches;
+      if pass_span <> 0 then
+        Obs.Hooks.agent_pass_end ~now:(Kernel.now g.kern) ~began:pass_start
+          ~id:pass_span ~nmsgs:(List.length msgs)
+          ~ntxns:
+            (List.fold_left (fun acc (_, txns) -> acc + List.length txns) 0
+               batches);
+      k ()
+  in
+  Task.Run { ns = delta; after }
 
 let alive g = (not g.stopped) && System.enclave_alive g.enc
 
@@ -296,12 +308,12 @@ let find_handoff_target g ~from =
   in
   List.find_opt ok g.cpu_list
 
-let rec global_behavior g cpu () =
+let global_behavior g cpu () =
   if (not (alive g)) || not (Hashtbl.mem g.agents cpu) then Task.Exit
-  else if g.gcpu <> cpu then Task.Block { after = global_behavior g cpu }
+  else if g.gcpu <> cpu then Task.Block { after = g.conts.(cpu) }
   else if g.paused then
     (* A hung agent: occupies its CPU but drains nothing, commits nothing. *)
-    Task.Run { ns = g.idle_gap; after = global_behavior g cpu }
+    Task.Run { ns = g.idle_gap; after = g.conts.(cpu) }
   else if Kernel.lower_class_waiting g.kern cpu then begin
     (* Hot handoff: vacate for the CFS/MicroQuanta work waiting here. *)
     match find_handoff_target g ~from:cpu with
@@ -310,15 +322,10 @@ let rec global_behavior g cpu () =
       (match Hashtbl.find_opt g.agents c' with
       | Some agent -> Kernel.wake g.kern agent
       | None -> ());
-      Task.Block { after = global_behavior g cpu }
-    | None -> global_pass g cpu
+      Task.Block { after = g.conts.(cpu) }
+    | None -> run_pass g ~cpu ~queues:g.default_queues
   end
-  else global_pass g cpu
-
-and global_pass g cpu =
-  run_pass g ~cpu
-    ~queues:[ System.default_queue g.enc ]
-    ~after_apply:(fun () -> global_behavior g cpu ())
+  else run_pass g ~cpu ~queues:g.default_queues
 
 (* --- Local (per-CPU) agents ------------------------------------------------ *)
 
@@ -334,37 +341,46 @@ let local_queues g cpu =
     (System.default_queue g.enc :: own) @ g.orphans
   | _ -> own
 
-let rec local_behavior g cpu () =
+let local_behavior g cpu () =
   if (not (alive g)) || not (Hashtbl.mem g.agents cpu) then Task.Exit
   else if g.paused then
-    Task.Run { ns = g.idle_gap; after = local_behavior g cpu }
+    Task.Run { ns = g.idle_gap; after = g.conts.(cpu) }
   else begin
     let queues = local_queues g cpu in
     let pending = List.exists (fun q -> Squeue.length q > 0) queues in
     let poked = Hashtbl.mem g.poked cpu in
     if poked then Hashtbl.remove g.poked cpu;
-    if (not pending) && not poked then Task.Block { after = local_behavior g cpu }
-    else run_pass g ~cpu ~queues ~after_apply:(fun () -> local_behavior g cpu ())
+    if (not pending) && not poked then Task.Block { after = g.conts.(cpu) }
+    else run_pass g ~cpu ~queues
   end
 
 (* --- Attachment ------------------------------------------------------------ *)
 
-let spawn_one g behavior cpu =
+(* Each agent's continuation is built once per CPU and handed to the kernel
+   as-is by every pass, block and hung interval, so a spinning global agent
+   allocates no closure per idle pass. *)
+let spawn_one g cpu =
   let ncpus = Kernel.ncpus g.kern in
+  let k =
+    match g.mode with
+    | Global -> fun () -> global_behavior g cpu ()
+    | Local -> fun () -> local_behavior g cpu ()
+  in
+  g.conts.(cpu) <- k;
   let sw = Status_word.create () in
   Hashtbl.replace g.sws cpu sw;
   let task =
     Kernel.create_task g.kern ~policy:Task.Rt ~rt_prio:99
       ~affinity:(Cpumask.singleton ~ncpus cpu)
       ~name:(Printf.sprintf "%s-agent-%d" g.pol.name cpu)
-      (behavior cpu)
+      k
   in
   task.Task.is_agent <- true;
   Hashtbl.replace g.agents cpu task;
   System.register_agent g.enc task sw
 
-let spawn_agents g behavior =
-  List.iter (fun cpu -> spawn_one g behavior cpu) g.cpu_list;
+let spawn_agents g =
+  List.iter (fun cpu -> spawn_one g cpu) g.cpu_list;
   List.iter (fun cpu -> Kernel.start g.kern (Hashtbl.find g.agents cpu)) g.cpu_list
 
 (* An agent whose CPU left the enclave: deregister now, die off the event
@@ -390,7 +406,7 @@ let on_resize_global g = function
   | System.Cpu_added cpu ->
     if not (List.mem cpu g.cpu_list) then begin
       g.cpu_list <- g.cpu_list @ [ cpu ];
-      spawn_one g (fun cpu -> global_behavior g cpu) cpu;
+      spawn_one g cpu;
       Kernel.start g.kern (Hashtbl.find g.agents cpu);
       g.pol.on_cpu_added (get_abi g) cpu
     end
@@ -411,7 +427,7 @@ let on_resize_local g = function
   | System.Cpu_added cpu ->
     if not (List.mem cpu g.cpu_list) then begin
       g.cpu_list <- g.cpu_list @ [ cpu ];
-      spawn_one g (fun cpu -> local_behavior g cpu) cpu;
+      spawn_one g cpu;
       Kernel.start g.kern (Hashtbl.find g.agents cpu);
       let q = System.create_queue g.enc ~capacity:4096 in
       Hashtbl.replace g.cpu_queues cpu q;
@@ -457,6 +473,8 @@ let on_resize_local g = function
 let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
   let kern = System.kernel sys in
   let cpu_list = Cpumask.to_list (System.enclave_cpus enc) in
+  let topo = Kernel.topo kern in
+  let ncpus = Kernel.ncpus kern in
   {
     sys;
     enc;
@@ -464,6 +482,11 @@ let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
     pol;
     mode;
     cpu_list;
+    default_queues = [ System.default_queue enc ];
+    siblings =
+      Array.init ncpus (fun c ->
+          match Hw.Topology.sibling_of topo c with Some s -> s | None -> -1);
+    conts = Array.make ncpus (fun () -> Task.Exit);
     orphans = [];
     agents = Hashtbl.create 16;
     sws = Hashtbl.create 16;
@@ -488,7 +511,7 @@ let check_abi_version (pol : policy) =
 let attach_global sys enc ?(min_iteration = 200) ?idle_gap pol =
   check_abi_version pol;
   let g = make_group sys enc ~mode:Global ~min_iteration ?idle_gap pol in
-  spawn_agents g (fun cpu -> global_behavior g cpu);
+  spawn_agents g;
   (* The global agent polls the default queue; its aseq tracks it. *)
   Squeue.add_aseq_target (System.default_queue enc) (sw_of g g.gcpu);
   g.attached <- true;
@@ -500,7 +523,7 @@ let attach_global sys enc ?(min_iteration = 200) ?idle_gap pol =
 let attach_local sys enc pol =
   check_abi_version pol;
   let g = make_group sys enc ~mode:Local ~min_iteration:200 pol in
-  spawn_agents g (fun cpu -> local_behavior g cpu);
+  spawn_agents g;
   List.iter
     (fun cpu ->
       let q = System.create_queue enc ~capacity:4096 in

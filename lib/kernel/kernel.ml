@@ -4,7 +4,6 @@ module Class_intf = Class_intf
 module Cfs = Cfs
 module Rt = Rt
 module Microquanta = Microquanta
-module Trace = Trace
 
 type stats = {
   mutable ctx_switches : int;
@@ -17,6 +16,10 @@ type cpu_state = {
   cid : int;
   mutable curr : Task.t option;
   mutable seg : Sim.Engine.handle;  (* end-of-segment event; [nil_handle] = none *)
+  mutable seg_tid : int;  (* task [seg_fn] ends segments for; -1 = none *)
+  mutable seg_fn : unit -> unit;
+      (* cached end-of-segment callback, reused while the same task keeps
+         running segments here (tids are never reused) *)
   mutable last_account : int;  (* last time curr's runtime was charged *)
   mutable dispatch_time : int;  (* when curr was last dispatched *)
   mutable switching : bool;  (* a context switch is in flight *)
@@ -49,7 +52,6 @@ type t = {
   mutable next_tid : int;
   mutable tick_listeners : (int -> unit) array;
   mutable n_tick_listeners : int;
-  mutable tracer : Trace.t option;
   stats : stats;
   exec_speed : float array;
       (* per-CPU work retired per wall ns (the core class's
@@ -102,9 +104,11 @@ let class_of t (task : Task.t) = find_class t task.policy
 (* Anything queued on [cpu]?  The aggregate counter covers every tracking
    class; only non-tracking classes (ghOSt) are asked individually, and each
    answers in O(1). *)
-let any_queued t cpu =
-  t.queued.(cpu) > 0
-  || List.exists (fun (c : Class_intf.cls) -> c.nr_runnable ~cpu > 0) t.scan_classes
+let rec scan_queued cpu = function
+  | [] -> false
+  | (c : Class_intf.cls) :: rest -> c.nr_runnable ~cpu > 0 || scan_queued cpu rest
+
+let any_queued t cpu = t.queued.(cpu) > 0 || scan_queued cpu t.scan_classes
 
 let cpu_idle t cpu = t.cpus.(cpu).curr = None && not (any_queued t cpu)
 
@@ -126,13 +130,13 @@ let idle_total t cpu =
   let cs = t.cpus.(cpu) in
   cs.idle_total + (if cs.curr = None then now t - cs.idle_since else 0)
 
+let class_waiting t policy cpu =
+  match t.by_policy.(Task.policy_rank policy) with
+  | Some (c : Class_intf.cls) -> c.nr_runnable ~cpu > 0
+  | None -> false
+
 let lower_class_waiting t cpu =
-  let waiting policy =
-    match t.by_policy.(Task.policy_rank policy) with
-    | Some (c : Class_intf.cls) -> c.nr_runnable ~cpu > 0
-    | None -> false
-  in
-  waiting Task.Cfs || waiting Task.Microquanta
+  class_waiting t Task.Cfs cpu || class_waiting t Task.Microquanta cpu
 
 let on_tick t fn =
   let n = t.n_tick_listeners in
@@ -143,27 +147,6 @@ let on_tick t fn =
   end;
   t.tick_listeners.(n) <- fn;
   t.n_tick_listeners <- n + 1
-
-let set_tracer t tr = t.tracer <- tr
-let tracer t = t.tracer
-
-let trace t event =
-  (match t.tracer with
-  | Some tr -> Trace.emit tr ~time:(now t) event
-  | None -> ());
-  if Obs.Hooks.enabled () then begin
-    (* Per-type hooks: no Sink.sched variant is built per event. *)
-    let now = now t in
-    match event with
-    | Trace.Dispatch { cpu; tid; name; migrated } ->
-      Obs.Hooks.dispatch ~now ~cpu ~tid ~name ~migrated
-    | Trace.Preempted { cpu; tid } -> Obs.Hooks.preempt ~now ~cpu ~tid
-    | Trace.Blocked { cpu; tid } -> Obs.Hooks.block ~now ~cpu ~tid
-    | Trace.Yielded { cpu; tid } -> Obs.Hooks.yield ~now ~cpu ~tid
-    | Trace.Exited { cpu; tid } -> Obs.Hooks.texit ~now ~cpu ~tid
-    | Trace.Woken { tid; target_cpu } -> Obs.Hooks.wake ~now ~tid ~target_cpu
-    | Trace.Idle { cpu } -> Obs.Hooks.idle ~now ~cpu
-  end
 
 (* --- Core scheduling (§4.5 in-kernel baseline) --------------------------- *)
 
@@ -233,7 +216,7 @@ and stop_curr t cs (task : Task.t) =
   task.state <- Task.Runnable;
   task.runnable_since <- now t;
   task.nr_preemptions <- task.nr_preemptions + 1;
-  trace t (Trace.Preempted { cpu = cs.cid; tid = task.tid });
+  if Obs.Hooks.enabled () then Obs.Hooks.preempt ~now:(now t) ~cpu:cs.cid ~tid:task.tid;
   cs.curr <- None;
   let cls = class_of t task in
   if Cpumask.mem task.affinity cs.cid then cls.put_prev ~cpu:cs.cid task
@@ -294,7 +277,8 @@ and go_idle t cs ~prev =
   (* [prev = None] with idle_since = now means the current event just
      blocked/exited the task (advance cleared curr before rescheduling):
      that is a fresh transition to idle too. *)
-  if prev <> None || cs.idle_since = now t then trace t (Trace.Idle { cpu = cs.cid });
+  if (prev <> None || cs.idle_since = now t) && Obs.Hooks.enabled () then
+    Obs.Hooks.idle ~now:(now t) ~cpu:cs.cid;
   cs.curr <- None;
   if prev <> None then cs.idle_since <- now t;
   if t.core_sched then begin
@@ -324,9 +308,9 @@ and dispatch t cs (next : Task.t) ~prev =
   else begin
     next.nr_switches <- next.nr_switches + 1;
     t.stats.ctx_switches <- t.stats.ctx_switches + 1;
-    trace t
-      (Trace.Dispatch
-         { cpu = cs.cid; tid = next.tid; name = next.name; migrated = prev_cpu_differs });
+    if Obs.Hooks.enabled () then
+      Obs.Hooks.dispatch ~now:tnow ~cpu:cs.cid ~tid:next.tid ~name:next.name
+        ~migrated:prev_cpu_differs;
     let base =
       if next.is_agent || next.policy = Task.Ghost then t.ctx_switch_cost.(cs.cid)
       else t.cfs_ctx_switch_cost.(cs.cid)
@@ -367,24 +351,27 @@ and core_sched_kick t cs (next : Task.t) =
     | None -> ()
   end
 
+(* Post the end of [task]'s current segment ([task.remaining] work ns). *)
+and post_segment t cs (task : Task.t) =
+  if cs.seg_tid <> task.tid then begin
+    cs.seg_tid <- task.tid;
+    cs.seg_fn <- (fun () -> seg_end t cs task)
+  end;
+  cs.seg <-
+    Sim.Engine.post_in t.engine
+      ~delay:(wall_of_work t ~cpu:cs.cid task.remaining)
+      cs.seg_fn
+
 and begin_segment t cs (task : Task.t) =
   cs.last_account <- now t;
-  if task.remaining > 0 then
-    cs.seg <-
-      Sim.Engine.post_in t.engine
-        ~delay:(wall_of_work t ~cpu:cs.cid task.remaining)
-        (fun () -> seg_end t cs task)
-  else advance t cs task
+  if task.remaining > 0 then post_segment t cs task else advance t cs task
 
 and seg_end t cs (task : Task.t) =
   cs.seg <- Sim.Engine.nil_handle;
   account t cs task;
   if task.remaining > 0 then
     (* Interrupts stole part of the segment: keep running the remainder. *)
-    cs.seg <-
-      Sim.Engine.post_in t.engine
-        ~delay:(wall_of_work t ~cpu:cs.cid task.remaining)
-        (fun () -> seg_end t cs task)
+    post_segment t cs task
   else advance t cs task
 
 and advance t cs (task : Task.t) =
@@ -392,14 +379,11 @@ and advance t cs (task : Task.t) =
   | Task.Run { ns; after } ->
     task.cont <- after;
     task.remaining <- max 1 ns;
-    cs.seg <-
-      Sim.Engine.post_in t.engine
-        ~delay:(wall_of_work t ~cpu:cs.cid task.remaining)
-        (fun () -> seg_end t cs task)
+    post_segment t cs task
   | Task.Block { after } ->
     task.cont <- after;
     task.state <- Task.Blocked;
-    trace t (Trace.Blocked { cpu = cs.cid; tid = task.tid });
+    if Obs.Hooks.enabled () then Obs.Hooks.block ~now:(now t) ~cpu:cs.cid ~tid:task.tid;
     cs.curr <- None;
     cs.idle_since <- now t;
     (class_of t task).on_block ~cpu:cs.cid task;
@@ -408,14 +392,14 @@ and advance t cs (task : Task.t) =
     task.cont <- after;
     task.state <- Task.Runnable;
     task.runnable_since <- now t;
-    trace t (Trace.Yielded { cpu = cs.cid; tid = task.tid });
+    if Obs.Hooks.enabled () then Obs.Hooks.yield ~now:(now t) ~cpu:cs.cid ~tid:task.tid;
     cs.curr <- None;
     cs.idle_since <- now t;
     (class_of t task).on_yield ~cpu:cs.cid task;
     schedule t cs.cid
   | Task.Exit ->
     task.state <- Task.Dead;
-    trace t (Trace.Exited { cpu = cs.cid; tid = task.tid });
+    if Obs.Hooks.enabled () then Obs.Hooks.texit ~now:(now t) ~cpu:cs.cid ~tid:task.tid;
     cs.curr <- None;
     cs.idle_since <- now t;
     (class_of t task).on_dead ~cpu:cs.cid task;
@@ -429,7 +413,7 @@ let make_runnable t (task : Task.t) ~is_new =
   task.runnable_since <- now t;
   let cls = class_of t task in
   let cpu = cls.select_cpu task in
-  trace t (Trace.Woken { tid = task.tid; target_cpu = cpu });
+  if Obs.Hooks.enabled () then Obs.Hooks.wake ~now:(now t) ~tid:task.tid ~target_cpu:cpu;
   cls.enqueue ~cpu ~is_new task;
   preempt_check t cpu task
 
@@ -627,6 +611,8 @@ let create ?(core_sched = false) ?(seed = 42) machine =
               cid;
               curr = None;
               seg = Sim.Engine.nil_handle;
+              seg_tid = -1;
+              seg_fn = ignore;
               last_account = 0;
               dispatch_time = 0;
               switching = false;
@@ -645,7 +631,6 @@ let create ?(core_sched = false) ?(seed = 42) machine =
       next_tid = 1;
       tick_listeners = [||];
       n_tick_listeners = 0;
-      tracer = None;
       stats = { ctx_switches = 0; ipis = 0; wakeups = 0; reschedules = 0 };
       exec_speed;
       uniform_speed = Array.for_all (fun s -> s = 1.0) exec_speed;

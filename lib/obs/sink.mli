@@ -26,8 +26,9 @@ type track =
   | Enclave of int  (** rendered on the enclave's async track *)
   | Global
 
-(** Scheduler events, mirroring {!Kernel.Trace.event} (duplicated here so
-    [kernel] can depend on [obs] without a cycle), plus timer ticks. *)
+(** Scheduler events — the kernel's dispatch, preempt, block, yield, exit,
+    wake and idle transitions, written through the per-type {!Hooks} —
+    plus timer ticks. *)
 type sched =
   | Dispatch of { cpu : int; tid : int; name : string; migrated : bool }
   | Preempt of { cpu : int; tid : int }

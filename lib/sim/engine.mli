@@ -34,7 +34,7 @@ val pending : t -> int
 val next_time : t -> int
 (** Timestamp of the earliest live pending event, [max_int] when none.
     Allocation-free (unlike peeking through an [option]); the cluster lane
-    merge polls this across all machine engines every batch. *)
+    merge checks each batch's winning lane with it. *)
 
 val nil_handle : handle
 (** Inert, permanently-cancelled handle; compare with [==].  Use it to

@@ -57,4 +57,4 @@ val peek_time : t -> int option
 
 val next_time : t -> int
 (** {!peek_time} without the [option]: [max_int] when no live event remains.
-    Allocation-free — the primitive the cluster lane merge scans on. *)
+    Allocation-free — the primitive the cluster lane merge checks on. *)

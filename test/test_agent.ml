@@ -181,6 +181,127 @@ let test_submit_estale_on_interleaved_message () =
     (Printf.sprintf "ESTALE observed under churn (%d)" estales)
     true (estales > 0)
 
+(* --- Global-agent runtime golden ------------------------------------------- *)
+
+(* A short [central] run on xeon-e5-1s (SMT siblings are adjacent CPUs) over
+   enclave CPUs 0-5, each with a pinned, mostly sleeping CFS spinner, and a
+   hung-agent window from a fault plan.  Between requests the agent makes idle-gap
+   passes; each spinner wakeup on the agent's CPU forces a hot handoff; the
+   agent then runs beside a busy SMT sibling and pays the contention scaling;
+   the stall occupies the agent CPU without passing.  The digest pins the
+   runtime's modeled behaviour on all four paths; it may only change with a
+   deliberate behaviour change. *)
+let global_runtime_golden = "e51831bc62096ea1186e11f8659a66f4"
+
+let global_runtime_report () =
+  let m = Hw.Machines.xeon_e5_1s in
+  let k = Kernel.create m in
+  let ncpus = Kernel.ncpus k in
+  let sys = System.install k in
+  let e =
+    System.create_enclave sys ~cpus:(Cpumask.of_list ~ncpus [ 0; 1; 2; 3; 4; 5 ]) ()
+  in
+  let inst = Policies.Registry.make "central" in
+  let g = Policies.Registry.attach ~min_iteration:(us 2) ~idle_gap:(us 5) sys e inst in
+  let plan =
+    Faults.Plan.make ~name:"hang"
+      [ { Faults.Plan.at = ms 4; jitter = 0; kind = Faults.Plan.Stall { duration = us 300 } } ]
+  in
+  let inj =
+    Faults.Injector.arm ~rng:(Kernel.rng k)
+      { Faults.Injector.sys; enclave = e; group = Some g; replace = None }
+      plan
+  in
+  let spinner cpu ~run ~sleep =
+    let self = ref None in
+    let rec beh () =
+      Task.Run
+        {
+          ns = run;
+          after =
+            (fun () ->
+              ignore
+                (Sim.Engine.post_in (Kernel.engine k) ~delay:sleep (fun () ->
+                     Option.iter (Kernel.wake k) !self));
+              Task.Block { after = beh });
+        }
+    in
+    let t =
+      Kernel.create_task k
+        ~name:(Printf.sprintf "spin%d" cpu)
+        ~affinity:(Cpumask.singleton ~ncpus cpu)
+        beh
+    in
+    self := Some t;
+    Kernel.start k t;
+    t
+  in
+  let spinners =
+    List.map
+      (fun (cpu, run, sleep) -> spinner cpu ~run:(us run) ~sleep:(us sleep))
+      [ (0, 40, 230); (1, 30, 310); (2, 25, 170); (3, 35, 410); (4, 20, 290); (5, 30, 370) ]
+  in
+  let ol =
+    Workloads.Openloop.create k ~seed:5 ~rate:120_000.0
+      ~service:(Sim.Dist.Exponential 12_000.0) ~nworkers:12
+      ~spawn:(fun ~idx b ->
+        let t = Kernel.create_task k ~name:(Printf.sprintf "worker%d" idx) b in
+        System.manage e t;
+        Kernel.start k t;
+        t)
+  in
+  Workloads.Openloop.start ol ~until:(ms 8);
+  (* Step the clock to observe the paths the digest must cover: handoffs
+     (the agent CPU moves) and passes next to a busy SMT sibling. *)
+  let handoffs = ref 0 and beside_busy = ref 0 in
+  let last = ref (Agent.global_cpu g) in
+  while Kernel.now k < ms 10 do
+    Kernel.run_until k (Kernel.now k + us 5);
+    let c = Agent.global_cpu g in
+    if c <> !last then incr handoffs;
+    last := c;
+    (match Hw.Topology.sibling_of (Kernel.topo k) c with
+    | Some s when Kernel.curr k s <> None -> incr beside_busy
+    | _ -> ())
+  done;
+  let rec_ = Workloads.Openloop.recorder ol in
+  let ks = Kernel.stats k and gs = System.stats sys in
+  let report =
+    Printf.sprintf
+      "offered=%d completed=%d p50=%d p99=%d\n\
+       kernel ctx=%d ipis=%d wakeups=%d resched=%d\n\
+       ghost msgs=%d commits=%d fails=%d estales=%d drops=%d\n\
+       agent iters=%d gcpu=%d faults=%s\n\
+       spinners exec=%s idle=%s\n"
+      (Workloads.Openloop.offered ol)
+      (Workloads.Recorder.completed rec_)
+      (Workloads.Recorder.p rec_ 50.0) (Workloads.Recorder.p rec_ 99.0)
+      ks.Kernel.ctx_switches ks.Kernel.ipis ks.Kernel.wakeups ks.Kernel.reschedules
+      gs.System.msgs_posted gs.System.commits gs.System.commit_failures
+      gs.System.estales gs.System.msg_drops (Agent.iterations g)
+      (Agent.global_cpu g)
+      (String.concat ","
+         (List.map (fun (t, kind) -> Printf.sprintf "%s@%d" kind t)
+            (Faults.Injector.fired inj)))
+      (String.concat "/"
+         (List.map (fun (t : Task.t) -> string_of_int t.Task.sum_exec) spinners))
+      (String.concat ","
+         (List.map (fun c -> string_of_int (Kernel.idle_total k c)) [ 0; 1; 2; 3; 4; 5 ]))
+  in
+  (report, !handoffs, !beside_busy, Faults.Injector.fired inj)
+
+let test_global_runtime_golden () =
+  let report, handoffs, beside_busy, fired = global_runtime_report () in
+  check_bool (Printf.sprintf "hot handoffs (%d)" handoffs) true (handoffs > 0);
+  check_bool
+    (Printf.sprintf "agent beside a busy sibling (%d)" beside_busy)
+    true (beside_busy > 0);
+  check_bool "stall fired" true (List.exists (fun (_, k) -> k = "stall") fired);
+  Alcotest.(check string)
+    ("canonical report digest of:\n" ^ report)
+    global_runtime_golden
+    (Digest.to_hex (Digest.string report))
+
 let () =
   Alcotest.run "agent"
     [
@@ -196,5 +317,6 @@ let () =
           Alcotest.test_case "handoff chase" `Quick test_handoff_returns_after_cfs_leaves;
           Alcotest.test_case "stop idempotent" `Quick test_stop_is_idempotent;
           Alcotest.test_case "queue_of_cpu by mode" `Quick test_queue_of_cpu_modes;
+          Alcotest.test_case "global-agent golden" `Quick test_global_runtime_golden;
         ] );
     ]

@@ -98,6 +98,177 @@ let test_lane_switch_hook () =
   Sim.Lanes.run_until lanes 100;
   Alcotest.(check (list int)) "switch sequence" [ 1; 0; 1 ] (List.rev !switches)
 
+(* --- Lanes: cached heads vs the scan-every-lane merge ------------------------ *)
+
+(* Reference: the merge before heads were cached — every batch scans
+   [Engine.next_time] on every lane for the winner and the runner-up. *)
+module Scan_lanes = struct
+  type t = { engines : Sim.Engine.t array; mutable xmin : int }
+
+  let create engines = { engines; xmin = max_int }
+
+  let post t ~lane ~time fn =
+    if time < t.xmin then t.xmin <- time;
+    Sim.Engine.post t.engines.(lane) ~time fn
+
+  let rec run_until t horizon =
+    let best = ref (-1) and best_t = ref max_int and runner = ref max_int in
+    Array.iteri
+      (fun i e ->
+        let ti = Sim.Engine.next_time e in
+        if ti < !best_t then (runner := !best_t; best_t := ti; best := i)
+        else if ti < !runner then runner := ti)
+      t.engines;
+    if !best >= 0 && !best_t <= horizon then begin
+      let e = t.engines.(!best) in
+      t.xmin <- max_int;
+      let rec drain () =
+        ignore (Sim.Engine.step e);
+        let h = Sim.Engine.next_time e in
+        if h <= horizon && h < !runner && h < t.xmin then drain ()
+      in
+      drain ();
+      run_until t horizon
+    end
+    else Array.iter (fun e -> Sim.Engine.run_until e horizon) t.engines
+end
+
+(* A self-extending world: each event logs itself, then — decided by a
+   generator seeded with (seed, id), so both merges see the same program —
+   cross-posts through the merge, posts to its own lane straight through
+   [Engine.post], and cancels a pending handle on some lane (its own or
+   another, which leaves a cached head early).  Set-up posts alternate
+   between the merge and the engines; a second window follows the first. *)
+let run_world ~post ~run_until engines (seed, posts) =
+  let nlanes = Array.length engines in
+  let log = ref [] and next_id = ref 0 in
+  let pending = Array.make nlanes [] in
+  let fresh () =
+    incr next_id;
+    !next_id
+  in
+  let rec event lane id () =
+    let e = engines.(lane) in
+    let now = Sim.Engine.now e in
+    log := (now, lane, id) :: !log;
+    let rng = Random.State.make [| seed; id |] in
+    if !next_id < 400 then begin
+      if Random.State.int rng 3 > 0 then begin
+        let dst = Random.State.int rng nlanes and id' = fresh () in
+        let time = now + (50 * Random.State.int rng 6) in
+        pending.(dst) <- post ~lane:dst ~time (event dst id') :: pending.(dst)
+      end;
+      if Random.State.bool rng then begin
+        let id' = fresh () in
+        let time = now + (50 * Random.State.int rng 6) in
+        pending.(lane) <- Sim.Engine.post e ~time (event lane id') :: pending.(lane)
+      end
+    end;
+    if Random.State.int rng 3 = 0 then begin
+      let l = Random.State.int rng nlanes in
+      match pending.(l) with
+      | [] -> ()
+      | hs -> Sim.Engine.cancel engines.(l) (List.nth hs (Random.State.int rng (List.length hs)))
+    end
+  in
+  List.iteri
+    (fun idx (lane, time) ->
+      let id = fresh () in
+      let h =
+        if idx land 1 = 0 then post ~lane ~time (event lane id)
+        else Sim.Engine.post engines.(lane) ~time (event lane id)
+      in
+      pending.(lane) <- h :: pending.(lane))
+    posts;
+  run_until 1_000;
+  run_until 3_000;
+  List.rev !log
+
+let test_cached_heads_qcheck =
+  let gen =
+    QCheck.(
+      triple (int_range 1 5) small_nat
+        (list_of_size Gen.(int_range 0 30) (pair (int_range 0 4) (int_range 0 20))))
+    |> QCheck.map_same_type (fun (nlanes, seed, posts) ->
+           (nlanes, seed, List.map (fun (l, t) -> (l mod nlanes, t * 50)) posts))
+  in
+  qtest ~name:"cached-head merge matches the scan-every-lane merge" ~count:300
+    gen (fun (nlanes, seed, posts) ->
+      let engines = Array.init nlanes (fun _ -> Sim.Engine.create ()) in
+      let lanes = Sim.Lanes.create engines in
+      let got =
+        run_world ~post:(Sim.Lanes.post lanes) ~run_until:(Sim.Lanes.run_until lanes)
+          engines (seed, posts)
+      in
+      let engines = Array.init nlanes (fun _ -> Sim.Engine.create ()) in
+      let ref_lanes = Scan_lanes.create engines in
+      let expect =
+        run_world ~post:(Scan_lanes.post ref_lanes)
+          ~run_until:(Scan_lanes.run_until ref_lanes) engines (seed, posts)
+      in
+      got = expect)
+
+let test_setup_posts_seen () =
+  (* Set-up code posts straight into the engines, before the first window
+     and between windows; the merge must still fire them in order. *)
+  let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
+  let lanes = Sim.Lanes.create engines in
+  let fired = ref [] in
+  let note tag () = fired := tag :: !fired in
+  ignore (Sim.Lanes.post lanes ~lane:0 ~time:300 (note "a300"));
+  ignore (Sim.Engine.post engines.(1) ~time:100 (note "b100"));
+  Sim.Lanes.run_until lanes 500;
+  ignore (Sim.Engine.post engines.(1) ~time:600 (note "b600"));
+  ignore (Sim.Engine.post engines.(0) ~time:700 (note "a700"));
+  Sim.Lanes.run_until lanes 1_000;
+  Alcotest.(check (list string))
+    "set-up posts fire in order"
+    [ "b100"; "a300"; "b600"; "a700" ]
+    (List.rev !fired)
+
+let test_cancelled_head () =
+  (* Lane 0 cancels lane 1's head after the merge cached it: the stale
+     entry must not let lane 1's later event jump ahead of lane 0's. *)
+  let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
+  let lanes = Sim.Lanes.create engines in
+  let fired = ref [] in
+  let note tag () = fired := tag :: !fired in
+  let h = Sim.Lanes.post lanes ~lane:1 ~time:100 (note "b100") in
+  ignore (Sim.Lanes.post lanes ~lane:1 ~time:300 (note "b300"));
+  ignore
+    (Sim.Lanes.post lanes ~lane:0 ~time:50 (fun () ->
+         note "a50" ();
+         Sim.Engine.cancel engines.(1) h));
+  ignore (Sim.Lanes.post lanes ~lane:0 ~time:200 (note "a200"));
+  ignore (Sim.Lanes.post lanes ~lane:0 ~time:300 (note "a300"));
+  Sim.Lanes.run_until lanes 1_000;
+  Alcotest.(check (list string))
+    "cancelled head skipped, order kept"
+    [ "a50"; "a200"; "a300"; "b300" ]
+    (List.rev !fired)
+
+let test_bypassed_post_raises () =
+  (* A callback posting straight into another lane's engine sidesteps the
+     cached heads; the merge must refuse rather than misorder. *)
+  let bypass ~other_event =
+    let engines = Array.init 2 (fun _ -> Sim.Engine.create ()) in
+    let lanes = Sim.Lanes.create engines in
+    if other_event then ignore (Sim.Lanes.post lanes ~lane:1 ~time:100 ignore);
+    ignore
+      (Sim.Lanes.post lanes ~lane:0 ~time:10 (fun () ->
+           ignore (Sim.Engine.post engines.(1) ~time:50 ignore)));
+    ignore (Sim.Lanes.post lanes ~lane:0 ~time:60 ignore);
+    fun () -> Sim.Lanes.run_until lanes 1_000
+  in
+  let msg =
+    "Lanes.run_until: lane 1 holds an event at 50 posted around the merge \
+     (cross-lane posts must use Lanes.post)"
+  in
+  Alcotest.check_raises "left inside the window" (Invalid_argument msg)
+    (bypass ~other_event:false);
+  Alcotest.check_raises "ahead of the cached head" (Invalid_argument msg)
+    (bypass ~other_event:true)
+
 (* --- Balancer ----------------------------------------------------------------- *)
 
 let test_balancer_round_robin () =
@@ -290,6 +461,10 @@ let () =
           Alcotest.test_case "past post rejected" `Quick
             test_merge_past_post_rejected;
           Alcotest.test_case "lane-switch hook" `Quick test_lane_switch_hook;
+          QCheck_alcotest.to_alcotest test_cached_heads_qcheck;
+          Alcotest.test_case "set-up posts seen" `Quick test_setup_posts_seen;
+          Alcotest.test_case "cancelled head keeps order" `Quick test_cancelled_head;
+          Alcotest.test_case "bypassed post raises" `Quick test_bypassed_post_raises;
         ] );
       ( "balancer",
         [
