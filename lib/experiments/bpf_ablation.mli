@@ -44,6 +44,6 @@ type identity = {
 
 val run_identity : unit -> identity
 (** The pre-BPF reference configuration (centralized FIFO, no program
-    installed).  The bench compares the result against baked-in constants
-    captured before the fastpath tier landed: with no program installed the
-    engine must reproduce them exactly. *)
+    installed).  With no program installed the fastpath must be invisible:
+    the result is pinned by the [bpf-no-program] case of test/golden.txt,
+    which reproduces the numbers captured before the fastpath tier landed. *)

@@ -189,10 +189,8 @@ let test_submit_estale_on_interleaved_message () =
    passes; each spinner wakeup on the agent's CPU forces a hot handoff; the
    agent then runs beside a busy SMT sibling and pays the contention scaling;
    the stall occupies the agent CPU without passing.  The digest pins the
-   runtime's modeled behaviour on all four paths; it may only change with a
-   deliberate behaviour change. *)
-let global_runtime_golden = "e51831bc62096ea1186e11f8659a66f4"
-
+   runtime's modeled behaviour on all four paths (golden case
+   global-runtime); it may only change with a deliberate behaviour change. *)
 let global_runtime_report () =
   let m = Hw.Machines.xeon_e5_1s in
   let k = Kernel.create m in
@@ -297,10 +295,7 @@ let test_global_runtime_golden () =
     (Printf.sprintf "agent beside a busy sibling (%d)" beside_busy)
     true (beside_busy > 0);
   check_bool "stall fired" true (List.exists (fun (_, k) -> k = "stall") fired);
-  Alcotest.(check string)
-    ("canonical report digest of:\n" ^ report)
-    global_runtime_golden
-    (Digest.to_hex (Digest.string report))
+  Golden.check "global-runtime" report
 
 let () =
   Alcotest.run "agent"

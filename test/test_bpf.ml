@@ -373,10 +373,8 @@ let test_fastpath_mirror () =
    worker CPUs outruns the agent, so the lazily-deleted FIFO carries stale
    duplicates (more entries than the 16 worker tids).  The digest of its
    canonical report pins the modeled behaviour of the centralized pass, the
-   fastpath publication and the pick ring; it may only change with a
-   deliberate behaviour change. *)
-let saturated_golden = "1840735f3e935839afaf3e5ec678ca45"
-
+   fastpath publication and the pick ring (golden case saturated-shinjuku);
+   it may only change with a deliberate behaviour change. *)
 let test_saturated_golden () =
   let k, sys, st, ol, max_backlog =
     openloop_run ~rate:260_000.0 ~step:(us 50) ~seed:11 ~fastpath:true ()
@@ -406,10 +404,7 @@ let test_saturated_golden () =
       ss.Policies.Central.lc_preemptions ss.Policies.Central.be_evictions
       ss.Policies.Central.estales max_backlog
   in
-  Alcotest.(check string)
-    ("canonical report digest of:\n" ^ report)
-    saturated_golden
-    (Digest.to_hex (Digest.string report))
+  Golden.check "saturated-shinjuku" report
 
 (* --- Suite ------------------------------------------------------------------- *)
 

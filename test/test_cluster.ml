@@ -375,17 +375,11 @@ let test_cluster_deterministic () =
   check_bool "served traffic" true
     ((Cluster.run (smoke_cluster ())).Cluster.fleet_served > 0)
 
-(* Digest of the canonical fleet report of [smoke_cluster]: pins the modeled
-   behaviour of Weighted routing over two shinjuku machines.  It may only
-   change with a deliberate behaviour change. *)
-let smoke_golden = "857951e6e97ad8396120700c5dc1cc54"
-
+(* The canonical fleet report of [smoke_cluster] (golden case cluster-smoke)
+   pins the modeled behaviour of Weighted routing over two shinjuku
+   machines.  It may only change with a deliberate behaviour change. *)
 let test_cluster_golden () =
-  let report = Cluster.to_string (Cluster.run (smoke_cluster ())) in
-  Alcotest.(check string)
-    ("canonical fleet report digest of:\n" ^ report)
-    smoke_golden
-    (Digest.to_hex (Digest.string report))
+  Golden.check "cluster-smoke" (Cluster.to_string (Cluster.run (smoke_cluster ())))
 
 let ident_scenario i =
   Scenario.make ~seed:(100 + i) ~warmup_ns:(ms 2) ~measure_ns:(ms 10)
