@@ -21,13 +21,14 @@ and group = {
   conts : (unit -> Task.action) array;  (* per-CPU agent continuation *)
   mutable orphans : Squeue.t list;
       (* per-CPU queues of removed CPUs, drained by the watcher agent *)
-  agents : (int, Task.t) Hashtbl.t;
-  sws : (int, Status_word.t) Hashtbl.t;
-  cpu_queues : (int, Squeue.t) Hashtbl.t;  (* local mode *)
+  (* Per-CPU tables, indexed by CPU id; [None] = no agent on that CPU. *)
+  agents : Task.t option array;
+  sws : Status_word.t option array;
+  cpu_queues : Squeue.t option array;  (* local mode *)
   min_iteration : int;
   idle_gap : int;  (* polling pause after a pass that did nothing *)
   mutable gcpu : int;  (* global agent's CPU; -1 in local mode *)
-  poked : (int, unit) Hashtbl.t;  (* cpus owed a pass despite empty queues *)
+  poked : bool array;  (* cpus owed a pass despite empty queues *)
   mutable iters : int;
   mutable stopped : bool;
   mutable attached : bool;
@@ -60,9 +61,17 @@ let base_pass_cost = 100 (* status-word reads, loop bookkeeping *)
 
 let now ctx = Kernel.now ctx.group.kern
 let rng ctx = Kernel.rng ctx.group.kern
-let charge ctx ns = ctx.charged <- ctx.charged + max 0 ns
+let charge ctx ns = ctx.charged <- ctx.charged + Int.max 0 ns
 
-let sw_of g cpu = Hashtbl.find g.sws cpu
+let sw_of g cpu = match g.sws.(cpu) with Some sw -> sw | None -> raise Not_found
+
+let wake_agent g cpu =
+  match g.agents.(cpu) with Some a -> Kernel.wake g.kern a | None -> ()
+
+(* Iterate the live agents in CPU order. *)
+let iter_agents f g =
+  Array.iteri (fun cpu -> function Some a -> f cpu a | None -> ()) g.agents
+
 let aseq ctx = Status_word.seq (sw_of ctx.group ctx.cur_cpu)
 
 let make_txn ctx ~tid ~target ~with_aseq ?thread_seq () =
@@ -70,7 +79,7 @@ let make_txn ctx ~tid ~target ~with_aseq ?thread_seq () =
   System.make_txn ctx.group.sys ~tid ~cpu:target ?agent_seq ?thread_seq ()
 
 let submit ctx ~atomic txns =
-  if txns <> [] then ctx.batches <- (atomic, txns) :: ctx.batches
+  match txns with [] -> () | _ :: _ -> ctx.batches <- (atomic, txns) :: ctx.batches
 
 let recall ctx ~target =
   charge ctx (Kernel.costs ctx.group.kern).Hw.Costs.syscall;
@@ -102,10 +111,8 @@ let wire_wakeup g q ~wake_cpu =
                 (* The wakeup also owes the agent a pass even if its standard
                    queues are empty — the message may sit on a policy-created
                    extra queue the runtime does not know about. *)
-                Hashtbl.replace g.poked wake_cpu ();
-                match Hashtbl.find_opt g.agents wake_cpu with
-                | Some agent -> Kernel.wake g.kern agent
-                | None -> ()))))
+                g.poked.(wake_cpu) <- true;
+                wake_agent g wake_cpu))))
 
 let create_queue ctx ~capacity ~wake_cpu =
   charge ctx (Kernel.costs ctx.group.kern).Hw.Costs.syscall;
@@ -117,15 +124,15 @@ let associate_queue ctx task q =
   charge ctx (Kernel.costs ctx.group.kern).Hw.Costs.syscall;
   System.associate_queue ctx.group.enc task q
 
-let queue_of_cpu ctx c = Hashtbl.find_opt ctx.group.cpu_queues c
+let queue_of_cpu ctx c =
+  let qs = ctx.group.cpu_queues in
+  if c >= 0 && c < Array.length qs then qs.(c) else None
 
 let poke ctx target =
   let g = ctx.group in
   charge ctx (Kernel.costs g.kern).Hw.Costs.syscall;
-  Hashtbl.replace g.poked target ();
-  match Hashtbl.find_opt g.agents target with
-  | Some agent -> Kernel.wake g.kern agent
-  | None -> ()
+  g.poked.(target) <- true;
+  wake_agent g target
 
 let drain_list ctx q =
   if Squeue.length q = 0 then []
@@ -218,8 +225,9 @@ let get_abi g =
 let scale_f f x = int_of_float (Float.round (f *. float_of_int x))
 
 let commit_cost g ~agent_cpu batches =
-  if batches = [] then 0
-  else begin
+  match batches with
+  | [] -> 0
+  | _ :: _ ->
     let c = Kernel.costs g.kern in
     let topo = Kernel.topo g.kern in
     let batch_cost (_, txns) =
@@ -236,11 +244,10 @@ let commit_cost g ~agent_cpu batches =
         + List.fold_left (fun acc txn -> acc + per_txn txn) 0 txns
     in
     List.fold_left (fun acc b -> acc + batch_cost b) 0 batches
-  end
 
 let sibling_busy g cpu =
   let s = g.siblings.(cpu) in
-  s >= 0 && Kernel.curr g.kern s <> None
+  s >= 0 && match Kernel.curr g.kern s with Some _ -> true | None -> false
 
 (* One scheduling pass: drain [queues], run the policy, then occupy the CPU
    for the charged interval; commits validate and apply when it ends, so
@@ -272,12 +279,13 @@ let run_pass g ~cpu ~queues =
     if sibling_busy g cpu then scale_f c.Hw.Costs.smt_contention ctx.charged
     else ctx.charged
   in
-  let idle_pass = msgs = [] && batches = [] in
+  let no_batches = match batches with [] -> true | _ :: _ -> false in
+  let idle_pass = no_batches && match msgs with [] -> true | _ :: _ -> false in
   let floor = if idle_pass then g.idle_gap else g.min_iteration in
-  let delta = max floor charged in
+  let delta = Int.max floor charged in
   let k = g.conts.(cpu) in
   let after =
-    if batches = [] && pass_span = 0 then k
+    if no_batches && pass_span = 0 then k
     else fun () ->
       let agent_sw = Some (sw_of g cpu) in
       List.iter
@@ -309,7 +317,7 @@ let find_handoff_target g ~from =
   List.find_opt ok g.cpu_list
 
 let global_behavior g cpu () =
-  if (not (alive g)) || not (Hashtbl.mem g.agents cpu) then Task.Exit
+  if (not (alive g)) || Option.is_none g.agents.(cpu) then Task.Exit
   else if g.gcpu <> cpu then Task.Block { after = g.conts.(cpu) }
   else if g.paused then
     (* A hung agent: occupies its CPU but drains nothing, commits nothing. *)
@@ -319,9 +327,7 @@ let global_behavior g cpu () =
     match find_handoff_target g ~from:cpu with
     | Some c' ->
       g.gcpu <- c';
-      (match Hashtbl.find_opt g.agents c' with
-      | Some agent -> Kernel.wake g.kern agent
-      | None -> ());
+      wake_agent g c';
       Task.Block { after = g.conts.(cpu) }
     | None -> run_pass g ~cpu ~queues:g.default_queues
   end
@@ -330,9 +336,7 @@ let global_behavior g cpu () =
 (* --- Local (per-CPU) agents ------------------------------------------------ *)
 
 let local_queues g cpu =
-  let own =
-    match Hashtbl.find_opt g.cpu_queues cpu with Some q -> [ q ] | None -> []
-  in
+  let own = match g.cpu_queues.(cpu) with Some q -> [ q ] | None -> [] in
   (* The first CPU's agent also watches the enclave default queue, where
      newly managed threads announce themselves before the policy associates
      them to a per-CPU queue — plus any queues orphaned by CPU removal. *)
@@ -342,14 +346,14 @@ let local_queues g cpu =
   | _ -> own
 
 let local_behavior g cpu () =
-  if (not (alive g)) || not (Hashtbl.mem g.agents cpu) then Task.Exit
+  if (not (alive g)) || Option.is_none g.agents.(cpu) then Task.Exit
   else if g.paused then
     Task.Run { ns = g.idle_gap; after = g.conts.(cpu) }
   else begin
     let queues = local_queues g cpu in
     let pending = List.exists (fun q -> Squeue.length q > 0) queues in
-    let poked = Hashtbl.mem g.poked cpu in
-    if poked then Hashtbl.remove g.poked cpu;
+    let poked = g.poked.(cpu) in
+    if poked then g.poked.(cpu) <- false;
     if (not pending) && not poked then Task.Block { after = g.conts.(cpu) }
     else run_pass g ~cpu ~queues
   end
@@ -368,7 +372,7 @@ let spawn_one g cpu =
   in
   g.conts.(cpu) <- k;
   let sw = Status_word.create () in
-  Hashtbl.replace g.sws cpu sw;
+  g.sws.(cpu) <- Some sw;
   let task =
     Kernel.create_task g.kern ~policy:Task.Rt ~rt_prio:99
       ~affinity:(Cpumask.singleton ~ncpus cpu)
@@ -376,38 +380,33 @@ let spawn_one g cpu =
       k
   in
   task.Task.is_agent <- true;
-  Hashtbl.replace g.agents cpu task;
-  System.register_agent g.enc task sw
+  g.agents.(cpu) <- Some task;
+  System.register_agent g.enc task sw;
+  task
 
 let spawn_agents g =
-  List.iter (fun cpu -> spawn_one g cpu) g.cpu_list;
-  List.iter (fun cpu -> Kernel.start g.kern (Hashtbl.find g.agents cpu)) g.cpu_list
+  let tasks = List.map (fun cpu -> spawn_one g cpu) g.cpu_list in
+  List.iter (fun task -> Kernel.start g.kern task) tasks
 
 (* An agent whose CPU left the enclave: deregister now, die off the event
    loop (the removal may have been triggered from agent context). *)
 let retire_agent g cpu =
-  match Hashtbl.find_opt g.agents cpu with
+  match g.agents.(cpu) with
   | None -> ()
   | Some task ->
-    Hashtbl.remove g.agents cpu;
-    Hashtbl.remove g.sws cpu;
-    Hashtbl.remove g.poked cpu;
+    g.agents.(cpu) <- None;
+    g.sws.(cpu) <- None;
+    g.poked.(cpu) <- false;
     System.unregister_agent g.enc task;
     ignore
       (Sim.Engine.post_in (Kernel.engine g.kern) ~delay:0 (fun () ->
            if task.Task.state <> Task.Dead then Kernel.kill g.kern task))
 
-let wake_agent g cpu =
-  match Hashtbl.find_opt g.agents cpu with
-  | Some a -> Kernel.wake g.kern a
-  | None -> ()
-
 let on_resize_global g = function
   | System.Cpu_added cpu ->
     if not (List.mem cpu g.cpu_list) then begin
       g.cpu_list <- g.cpu_list @ [ cpu ];
-      spawn_one g cpu;
-      Kernel.start g.kern (Hashtbl.find g.agents cpu);
+      Kernel.start g.kern (spawn_one g cpu);
       g.pol.on_cpu_added (get_abi g) cpu
     end
   | System.Cpu_removed cpu ->
@@ -427,14 +426,13 @@ let on_resize_local g = function
   | System.Cpu_added cpu ->
     if not (List.mem cpu g.cpu_list) then begin
       g.cpu_list <- g.cpu_list @ [ cpu ];
-      spawn_one g cpu;
-      Kernel.start g.kern (Hashtbl.find g.agents cpu);
+      Kernel.start g.kern (spawn_one g cpu);
       let q = System.create_queue g.enc ~capacity:4096 in
-      Hashtbl.replace g.cpu_queues cpu q;
+      g.cpu_queues.(cpu) <- Some q;
       System.associate_cpu_queue g.enc ~cpu q;
       wire_wakeup g q ~wake_cpu:cpu;
       g.pol.on_cpu_added (get_abi g) cpu;
-      Hashtbl.replace g.poked cpu ();
+      g.poked.(cpu) <- true;
       wake_agent g cpu
     end
   | System.Cpu_removed cpu ->
@@ -443,9 +441,9 @@ let on_resize_local g = function
         match g.cpu_list with first :: _ -> first = cpu | [] -> false
       in
       g.cpu_list <- List.filter (fun c -> c <> cpu) g.cpu_list;
-      (match Hashtbl.find_opt g.cpu_queues cpu with
+      (match g.cpu_queues.(cpu) with
       | Some q ->
-        Hashtbl.remove g.cpu_queues cpu;
+        g.cpu_queues.(cpu) <- None;
         g.orphans <- g.orphans @ [ q ]
       | None -> ());
       retire_agent g cpu;
@@ -466,7 +464,7 @@ let on_resize_local g = function
           wire_wakeup g dq ~wake_cpu:head
         end;
         g.pol.on_cpu_removed (get_abi g) cpu;
-        Hashtbl.replace g.poked head ();
+        g.poked.(head) <- true;
         wake_agent g head)
     end
 
@@ -488,13 +486,13 @@ let make_group sys enc ~mode ~min_iteration ?(idle_gap = 1_000) pol =
           match Hw.Topology.sibling_of topo c with Some s -> s | None -> -1);
     conts = Array.make ncpus (fun () -> Task.Exit);
     orphans = [];
-    agents = Hashtbl.create 16;
-    sws = Hashtbl.create 16;
-    cpu_queues = Hashtbl.create 16;
+    agents = Array.make ncpus None;
+    sws = Array.make ncpus None;
+    cpu_queues = Array.make ncpus None;
     min_iteration;
-    idle_gap = max min_iteration idle_gap;
+    idle_gap = Int.max min_iteration idle_gap;
     gcpu = (match mode with Global -> List.hd cpu_list | Local -> -1);
-    poked = Hashtbl.create 16;
+    poked = Array.make ncpus false;
     iters = 0;
     stopped = false;
     attached = false;
@@ -527,7 +525,7 @@ let attach_local sys enc pol =
   List.iter
     (fun cpu ->
       let q = System.create_queue enc ~capacity:4096 in
-      Hashtbl.replace g.cpu_queues cpu q;
+      g.cpu_queues.(cpu) <- Some q;
       System.associate_cpu_queue enc ~cpu q;
       wire_wakeup g q ~wake_cpu:cpu)
     g.cpu_list;
@@ -543,13 +541,13 @@ let attach_local sys enc pol =
      may have rebuilt runqueues with no message traffic to trigger them. *)
   List.iter
     (fun cpu ->
-      Hashtbl.replace g.poked cpu ();
-      Kernel.wake g.kern (Hashtbl.find g.agents cpu))
+      g.poked.(cpu) <- true;
+      wake_agent g cpu)
     g.cpu_list;
   g
 
 let detach g =
-  Hashtbl.iter (fun _ task -> System.unregister_agent g.enc task) g.agents;
+  iter_agents (fun _ task -> System.unregister_agent g.enc task) g;
   g.attached <- false
 
 let stop g =
@@ -557,16 +555,16 @@ let stop g =
     g.stopped <- true;
     detach g;
     (* Wake sleepers so they observe the stop and exit. *)
-    Hashtbl.iter (fun _ task -> Kernel.wake g.kern task) g.agents
+    iter_agents (fun _ task -> Kernel.wake g.kern task) g
   end
 
 let crash g =
   if not g.stopped then begin
     g.stopped <- true;
-    Hashtbl.iter
+    iter_agents
       (fun _ (task : Task.t) ->
         if task.Task.state <> Task.Dead then Kernel.kill g.kern task)
-      g.agents;
+      g;
     detach g
   end
 
@@ -581,13 +579,13 @@ let set_paused g flag =
     g.paused <- flag;
     if not flag then
       (* Resuming agents owe a pass: queues may have filled while hung. *)
-      Hashtbl.iter
+      iter_agents
         (fun cpu (task : Task.t) ->
-          Hashtbl.replace g.poked cpu ();
+          g.poked.(cpu) <- true;
           Kernel.wake g.kern task)
-        g.agents
+        g
   end
 
 let paused g = g.paused
-let set_pass_penalty g ns = g.pass_penalty <- max 0 ns
+let set_pass_penalty g ns = g.pass_penalty <- Int.max 0 ns
 let pass_penalty g = g.pass_penalty

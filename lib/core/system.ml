@@ -64,7 +64,10 @@ and t = {
   mutable enclaves : enclave list;
   owner : enclave option array;  (* cpu -> enclave *)
   latched_slots : Task.t option array;
-  tstates : (int, tstate) Hashtbl.t;
+  mutable tstates : tstate option array;
+      (* tid -> [Some ts] while managed, [None] otherwise; tids are dense and
+         never reused (see [Kernel.tasks]), so lookup is a bounds check and
+         a load.  Each cell is allocated once in [manage]. *)
   mutable next_qid : int;
   mutable next_eid : int;
   mutable next_txn : int;
@@ -87,8 +90,14 @@ let enclave_msg_drops e = e.msg_drops
 let enclave_dropped e =
   List.fold_left (fun acc q -> acc + Squeue.dropped q) 0 e.queues
 
-let tstate_of t (task : Task.t) = Hashtbl.find_opt t.tstates task.tid
-let is_managed t task = tstate_of t task <> None
+let tstate_of_tid t tid =
+  if tid >= 0 && tid < Array.length t.tstates then Array.unsafe_get t.tstates tid
+  else None
+
+let tstate_of t (task : Task.t) = tstate_of_tid t task.tid
+
+let is_managed t task =
+  match tstate_of t task with Some _ -> true | None -> false
 
 let status_word t task =
   match tstate_of t task with Some ts -> Some ts.sw | None -> None
@@ -203,7 +212,7 @@ let make_bpf_snapshot t e =
     cpu >= 0 && cpu < Kernel.ncpus k && Cpumask.mem e.cpus cpu
   in
   let ts_of tid =
-    match Hashtbl.find_opt t.tstates tid with
+    match tstate_of_tid t tid with
     | Some ts when ts.enclave == e -> Some ts
     | Some _ | None -> None
   in
@@ -261,6 +270,8 @@ let make_bpf_snapshot t e =
         if in_enclave cpu then Hw.Topology.class_of (Kernel.topo k) cpu else -1);
   }
 
+let bpf_has e slot = match e.bpf_slots.(slot) with Some _ -> true | None -> false
+
 let bpf_run e slot ~r1 ~r2 =
   match e.bpf_slots.(slot) with
   | None -> None
@@ -274,7 +285,7 @@ let bpf_run e slot ~r1 ~r2 =
    runnable thread, affinity) and latches directly — exactly the state an
    agent commit would have produced, minus the agent round-trip. *)
 let bpf_wakeup t e ts =
-  if e.bpf_slots.(wakeup_slot) <> None then begin
+  if bpf_has e wakeup_slot then begin
     let task = ts.task in
     match bpf_run e wakeup_slot ~r1:task.Task.tid ~r2:task.Task.cpu with
     | None -> ()
@@ -291,7 +302,7 @@ let bpf_wakeup t e ts =
         && (match t.owner.(r) with Some o -> o == e | None -> false)
         && Kernel.cpu_idle t.kernel r
         && (match t.latched_slots.(r) with None -> true | Some _ -> false)
-        && ts.latched_on = None
+        && (match ts.latched_on with None -> true | Some _ -> false)
         && task.Task.state = Task.Runnable
         && Cpumask.mem task.Task.affinity r
       then begin
@@ -322,7 +333,7 @@ let bpf_tick t ~cpu (task : Task.t) ~since_dispatch =
   match enclave_for t cpu with
   | None -> ()
   | Some e ->
-    if e.bpf_slots.(tick_slot) <> None then begin
+    if bpf_has e tick_slot then begin
       match tstate_of t task with
       | Some ts when ts.enclave == e -> (
         match bpf_run e tick_slot ~r1:task.Task.tid ~r2:since_dispatch with
@@ -383,8 +394,8 @@ let bpf_ok t cpu (task : Task.t) =
   task.Task.state = Task.Runnable
   && Cpumask.mem task.Task.affinity cpu
   && (match tstate_of t task with
-     | Some ts -> ts.latched_on = None
-     | None -> false)
+     | Some { latched_on = None; _ } -> true
+     | Some _ | None -> false)
 
 let class_pick t ~cpu ~filter =
   match enclave_for t cpu with
@@ -416,7 +427,7 @@ let class_pick t ~cpu ~filter =
          already-latched threads) are skipped — the agent still holds every
          thread, so a discarded entry is a missed optimization, never a
          lost thread. *)
-      if e.bpf_slots.(pick_slot) = None then None
+      if not (bpf_has e pick_slot) then None
       else begin
         let rec try_pick attempt =
           if attempt >= 8 then None
@@ -433,7 +444,7 @@ let class_pick t ~cpu ~filter =
                 None
               end
               else begin
-                match Hashtbl.find_opt t.tstates r with
+                match tstate_of_tid t r with
                 | Some ts
                   when ts.enclave == e && bpf_ok t cpu ts.task && filter ts.task
                   ->
@@ -507,7 +518,7 @@ let class_on_dead t ~cpu (task : Task.t) =
       post_thread_msg t e ts Msg.THREAD_DEAD ~cpu ~write:(fun sw ->
           Status_word.set_on_cpu sw false;
           Status_word.set_runnable sw false));
-    Hashtbl.remove t.tstates task.Task.tid;
+    t.tstates.(task.Task.tid) <- None;
     ts.enclave.managed_cache <- None
 
 let class_on_affinity t (task : Task.t) =
@@ -595,12 +606,15 @@ let managed_threads e =
   match e.managed_cache with
   | Some threads -> threads
   | None ->
-    let threads =
-      Hashtbl.fold
-        (fun _ ts acc -> if ts.enclave == e then ts.task :: acc else acc)
-        e.sys.tstates []
-      |> List.sort (fun (a : Task.t) b -> compare a.tid b.tid)
-    in
+    (* A descending walk builds the list in ascending tid order. *)
+    let tstates = e.sys.tstates in
+    let threads = ref [] in
+    for tid = Array.length tstates - 1 downto 0 do
+      match tstates.(tid) with
+      | Some ts when ts.enclave == e -> threads := ts.task :: !threads
+      | Some _ | None -> ()
+    done;
+    let threads = !threads in
     e.managed_cache <- Some threads;
     threads
 
@@ -618,7 +632,15 @@ let manage e (task : Task.t) =
       enclave = e;
     }
   in
-  Hashtbl.add e.sys.tstates task.Task.tid ts;
+  let t = e.sys in
+  let tid = task.Task.tid in
+  let cap = Array.length t.tstates in
+  if tid >= cap then begin
+    let grown = Array.make (Int.max (2 * cap) (tid + 1)) None in
+    Array.blit t.tstates 0 grown 0 cap;
+    t.tstates <- grown
+  end;
+  t.tstates.(tid) <- Some ts;
   e.managed_cache <- None;
   (match task.Task.state with
   | Task.Blocked ->
@@ -638,7 +660,7 @@ let unmanage t (task : Task.t) =
       t.latched_slots.(cpu) <- None;
       ts.latched_on <- None
     | None -> ());
-    Hashtbl.remove t.tstates task.Task.tid;
+    t.tstates.(task.Task.tid) <- None;
     ts.enclave.managed_cache <- None;
     if task.Task.state <> Task.Dead then Kernel.set_policy t.kernel task Task.Cfs
 
@@ -701,20 +723,25 @@ and unregister_agent e task =
              destroy_enclave ~reason:Agent_crash t e))
   end
 
+(* The victim named in the log and the [watchdog-fire] instant is the
+   lowest-tid starving thread; the destroy happens either way. *)
 let watchdog_check t e timeout =
   let now = Kernel.now t.kernel in
   let starving ts =
-    ts.task.Task.state = Task.Runnable
-    && ts.latched_on = None
+    ts.enclave == e
+    && ts.task.Task.state = Task.Runnable
+    && (match ts.latched_on with None -> true | Some _ -> false)
     && now - ts.task.Task.runnable_since > timeout
   in
-  let victim =
-    Hashtbl.fold
-      (fun _ ts acc ->
-        if acc = None && ts.enclave == e && starving ts then Some ts.task
-        else acc)
-      t.tstates None
+  let n = Array.length t.tstates in
+  let rec first tid =
+    if tid >= n then None
+    else
+      match t.tstates.(tid) with
+      | Some ts when starving ts -> Some ts.task
+      | Some _ | None -> first (tid + 1)
   in
+  let victim = first 0 in
   match victim with
   | Some task ->
     Log.warn (fun m ->
@@ -772,7 +799,7 @@ let create_enclave t ?watchdog_timeout ?(deliver_ticks = false) ~cpus () =
       ~ncpus:(List.length (Cpumask.to_list cpus));
   (match watchdog_timeout with
   | Some timeout ->
-    let period = max (timeout / 2) 1_000_000 in
+    let period = Int.max (timeout / 2) 1_000_000 in
     let rec check () =
       if e.alive then begin
         watchdog_check t e timeout;
@@ -893,7 +920,7 @@ let validate t e ~agent_sw (txn : Txn.t) =
     then Some Txn.Estale
     else Some Txn.Enoent
   else begin
-    match Hashtbl.find_opt t.tstates txn.tid with
+    match tstate_of_tid t txn.tid with
     | None -> Some Txn.Enoent
     | Some ts ->
       if ts.enclave != e then Some Txn.Enoent
@@ -924,7 +951,9 @@ let validate t e ~agent_sw (txn : Txn.t) =
   end
 
 let apply_latch t e (txn : Txn.t) =
-  let ts = Hashtbl.find t.tstates txn.tid in
+  let ts =
+    match tstate_of_tid t txn.tid with Some ts -> ts | None -> raise Not_found
+  in
   let cpu = txn.Txn.target_cpu in
   (* Displace a previously latched thread: it goes back to the agent with a
      THREAD_PREEMPTED message. *)
@@ -949,26 +978,25 @@ let commit t e ~agent_cpu ~agent_sw ~atomic txns =
       | Some failure -> txn.status <- Txn.Failed failure
       | None -> txn.status <- Txn.Committed)
     txns;
-  (if atomic then begin
-     match List.find_opt (fun (x : Txn.t) -> x.status <> Txn.Committed) txns with
-     | Some _ ->
-       List.iter
-         (fun (x : Txn.t) ->
-           if x.status = Txn.Committed then x.status <- Txn.Failed Txn.Eaborted)
-         txns
-     | None -> ()
-   end);
+  (if atomic && not (List.for_all Txn.committed txns) then
+     List.iter
+       (fun (x : Txn.t) ->
+         if Txn.committed x then x.status <- Txn.Failed Txn.Eaborted)
+       txns);
   let committed = List.filter Txn.committed txns in
   List.iter
     (fun (x : Txn.t) ->
       if Txn.committed x then t.stats.commits <- t.stats.commits + 1
       else begin
         t.stats.commit_failures <- t.stats.commit_failures + 1;
-        if x.status = Txn.Failed Txn.Estale then t.stats.estales <- t.stats.estales + 1
+        match x.status with
+        | Txn.Failed Txn.Estale -> t.stats.estales <- t.stats.estales + 1
+        | Txn.Failed _ | Txn.Pending | Txn.Committed -> ()
       end;
       if Obs.Hooks.enabled () then
         Obs.Hooks.txn_decided ~now ~txn_id:x.txn_id ~tid:x.tid
           ~status:(Txn.status_to_string x.status)
+          ~status_ix:(Txn.status_index x.status)
           ~committed:(Txn.committed x))
     txns;
   (* Apply: latch everything, then one batched IPI sweep for remote CPUs. *)
@@ -1053,10 +1081,7 @@ let bpf_remove e hook =
     e.bpf_slots.(i) <- None;
     true
 
-let bpf_installed e hook =
-  match e.bpf_slots.(Bpf.Prog.hook_index hook) with
-  | Some _ -> true
-  | None -> false
+let bpf_installed e hook = bpf_has e (Bpf.Prog.hook_index hook)
 
 let bpf_map_update e ~map ~idx v =
   if map < 0 || map >= Array.length e.bpf_maps then Error "bad map id"
@@ -1085,7 +1110,7 @@ let install kernel =
       enclaves = [];
       owner = Array.make ncpus None;
       latched_slots = Array.make ncpus None;
-      tstates = Hashtbl.create 1024;
+      tstates = Array.make 256 None;
       next_qid = 1;
       next_eid = 1;
       next_txn = 1;

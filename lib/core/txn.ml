@@ -25,7 +25,17 @@ let status_to_string = function
   | Committed -> "COMMITTED"
   | Failed f -> failure_to_string f
 
-let committed t = t.status = Committed
+let status_index = function
+  | Pending -> 0
+  | Committed -> 1
+  | Failed Estale -> 2
+  | Failed Enoent -> 3
+  | Failed Eaffinity -> 4
+  | Failed Ebusy -> 5
+  | Failed Enotrunnable -> 6
+  | Failed Eaborted -> 7
+
+let committed t = match t.status with Committed -> true | Pending | Failed _ -> false
 
 let pp ppf t =
   Format.fprintf ppf "txn#%d(tid=%d cpu=%d %s)" t.txn_id t.tid t.target_cpu

@@ -27,5 +27,9 @@ type t = {
 
 val failure_to_string : failure -> string
 val status_to_string : status -> string
+
+val status_index : status -> int
+(** A dense index in [0, 8), one per status: a table indexed by status. *)
+
 val committed : t -> bool
 val pp : Format.formatter -> t -> unit

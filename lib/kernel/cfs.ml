@@ -3,8 +3,12 @@ module Topology = Hw.Topology
 module TaskOrd = struct
   type t = Task.t
 
-  let compare a b =
-    compare (a.Task.vruntime, a.Task.tid) (b.Task.vruntime, b.Task.tid)
+  (* vruntime, then tid: the lexicographic order of the pair, without the
+     polymorphic compare's tuple allocation and C call. *)
+  let compare (a : t) (b : t) =
+    match Float.compare a.vruntime b.vruntime with
+    | 0 -> Int.compare a.tid b.tid
+    | c -> c
 end
 
 module Tree = Set.Make (TaskOrd)
@@ -118,7 +122,7 @@ let update t ~cpu (task : Task.t) ~ran =
 
 let timeslice t cpu =
   let nr = t.rqs.(cpu).nr + 1 in
-  max (sched_latency / nr) min_granularity
+  Int.max (sched_latency / nr) min_granularity
 
 let tick t ~cpu (task : Task.t) ~since_dispatch =
   ignore task;

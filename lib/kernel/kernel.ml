@@ -110,7 +110,8 @@ let rec scan_queued cpu = function
 
 let any_queued t cpu = t.queued.(cpu) > 0 || scan_queued cpu t.scan_classes
 
-let cpu_idle t cpu = t.cpus.(cpu).curr = None && not (any_queued t cpu)
+let cpu_idle t cpu =
+  match t.cpus.(cpu).curr with None -> not (any_queued t cpu) | Some _ -> false
 
 let idle_cpus t =
   List.filter (cpu_idle t) (Hw.Topology.cpus (topo t))
@@ -128,7 +129,7 @@ let add_switch_cost t cpu ns =
 
 let idle_total t cpu =
   let cs = t.cpus.(cpu) in
-  cs.idle_total + (if cs.curr = None then now t - cs.idle_since else 0)
+  cs.idle_total + (match cs.curr with None -> now t - cs.idle_since | Some _ -> 0)
 
 let class_waiting t policy cpu =
   match t.by_policy.(Task.policy_rank policy) with
@@ -141,7 +142,7 @@ let lower_class_waiting t cpu =
 let on_tick t fn =
   let n = t.n_tick_listeners in
   if n = Array.length t.tick_listeners then begin
-    let grown = Array.make (max 8 (2 * n)) (fun (_ : int) -> ()) in
+    let grown = Array.make (Int.max 8 (2 * n)) (fun (_ : int) -> ()) in
     Array.blit t.tick_listeners 0 grown 0 n;
     t.tick_listeners <- grown
   end;
@@ -195,14 +196,14 @@ and account t cs (task : Task.t) =
     cs.last_account <- tnow;
     (* Interrupt time (tick_debt) ate into the window: the task made that
        much less progress. *)
-    let stolen = min wall cs.tick_debt in
+    let stolen = Int.min wall cs.tick_debt in
     cs.tick_debt <- cs.tick_debt - stolen;
     let ran = wall - stolen in
     if ran > 0 then begin
       (* sum_exec and class fairness stay in wall time (CPU occupancy);
          only the work ledger scales through the core class's speed. *)
       task.sum_exec <- task.sum_exec + ran;
-      task.remaining <- max 0 (task.remaining - work_of_wall t ~cpu:cs.cid ran);
+      task.remaining <- Int.max 0 (task.remaining - work_of_wall t ~cpu:cs.cid ran);
       (class_of t task).update ~cpu:cs.cid task ~ran
     end
   end
@@ -277,10 +278,11 @@ and go_idle t cs ~prev =
   (* [prev = None] with idle_since = now means the current event just
      blocked/exited the task (advance cleared curr before rescheduling):
      that is a fresh transition to idle too. *)
-  if (prev <> None || cs.idle_since = now t) && Obs.Hooks.enabled () then
+  let had_prev = match prev with Some _ -> true | None -> false in
+  if (had_prev || cs.idle_since = now t) && Obs.Hooks.enabled () then
     Obs.Hooks.idle ~now:(now t) ~cpu:cs.cid;
   cs.curr <- None;
-  if prev <> None then cs.idle_since <- now t;
+  if had_prev then cs.idle_since <- now t;
   if t.core_sched then begin
     (* Our curr changed to idle: the sibling's filtered-out tasks may now be
        eligible. *)
@@ -291,7 +293,9 @@ and go_idle t cs ~prev =
 
 and dispatch t cs (next : Task.t) ~prev =
   let tnow = now t in
-  if prev = None && cs.curr = None then cs.idle_total <- cs.idle_total + (tnow - cs.idle_since);
+  (match (prev, cs.curr) with
+  | None, None -> cs.idle_total <- cs.idle_total + (tnow - cs.idle_since)
+  | Some _, _ | None, Some _ -> ());
   next.state <- Task.Running;
   let prev_cpu = next.cpu in
   let prev_cpu_differs = prev_cpu <> cs.cid && prev_cpu >= 0 in
@@ -378,7 +382,7 @@ and advance t cs (task : Task.t) =
   match task.cont () with
   | Task.Run { ns; after } ->
     task.cont <- after;
-    task.remaining <- max 1 ns;
+    task.remaining <- Int.max 1 ns;
     post_segment t cs task
   | Task.Block { after } ->
     task.cont <- after;
@@ -469,7 +473,7 @@ let kill t (task : Task.t) =
     (class_of t task).on_dead ~cpu:task.cpu task
   | Task.Created | Task.Blocked ->
     task.state <- Task.Dead;
-    (class_of t task).on_dead ~cpu:(max task.cpu 0) task);
+    (class_of t task).on_dead ~cpu:(Int.max task.cpu 0) task);
   forget_task t task.tid
 
 let set_affinity t (task : Task.t) mask =
@@ -498,7 +502,7 @@ let set_policy t (task : Task.t) policy =
     (class_of t task).dequeue task;
     task.policy <- policy;
     let cls = class_of t task in
-    cls.attach ~cpu:(max task.cpu 0) task;
+    cls.attach ~cpu:(Int.max task.cpu 0) task;
     match task.state with
     | Task.Runnable -> make_runnable t task ~is_new:true
     | Task.Running -> resched t task.cpu
@@ -520,7 +524,7 @@ let send_ipi t ~target ~wire ~handle fn =
     (Sim.Engine.post_in t.engine ~delay:wire (fun () ->
          fn ();
          let cs = t.cpus.(target) in
-         cs.switch_extra <- max cs.switch_extra handle;
+         cs.switch_extra <- Int.max cs.switch_extra handle;
          resched t target))
 
 (* --- Ticks ---------------------------------------------------------------- *)

@@ -78,6 +78,42 @@ let register_msg_kinds names =
   chain_opening :=
     Array.map (fun n -> n = "THREAD_WAKEUP" || n = "THREAD_CREATED") names
 
+(* --- Per-record name caches --------------------------------------------------
+
+   A dispatch record carries its task's name and a decided transaction its
+   status; interning either string per record would hash it every time.
+   These caches map a small dense key (the tid; the status index) to the
+   interned id.  A slot hits only on the physically same string, so a key
+   reused for another name (the same tid in another machine's kernel)
+   interns again.  Each string is still interned at its first use, so the
+   ids are the ones per-record interning gave. *)
+
+type name_cache = { mutable strs : string array; mutable ids : int array }
+
+let task_names = { strs = [||]; ids = [||] }
+let status_names = { strs = [||]; ids = [||] }
+
+let cached_intern c key s =
+  if key >= 0 && key < Array.length c.strs && Array.unsafe_get c.strs key == s
+  then Array.unsafe_get c.ids key
+  else begin
+    let id = Sink.intern s in
+    if key >= 0 then begin
+      let cap = Array.length c.strs in
+      if key >= cap then begin
+        let n = Int.max (2 * cap) (Int.max 64 (key + 1)) in
+        let strs = Array.make n "" and ids = Array.make n 0 in
+        Array.blit c.strs 0 strs 0 cap;
+        Array.blit c.ids 0 ids 0 cap;
+        c.strs <- strs;
+        c.ids <- ids
+      end;
+      c.strs.(key) <- s;
+      c.ids.(key) <- id
+    end;
+    id
+  end
+
 (* --- Kernel ----------------------------------------------------------------- *)
 
 let dispatch ~now ~cpu ~tid ~name ~migrated =
@@ -91,7 +127,8 @@ let dispatch ~now ~cpu ~tid ~name ~migrated =
       Metrics.observe h_wake_to_dispatch (now - Sink.sched_span_began s ~tid);
       Sink.span_end_i1 s ~time:now ~asig:sig_cpu ~v0:cpu id
     end;
-    Sink.dispatch_i s ~time:now ~cpu ~tid ~name:(Sink.intern name) ~migrated
+    Sink.dispatch_i s ~time:now ~cpu ~tid ~name:(cached_intern task_names tid name)
+      ~migrated
 
 let preempt ~now ~cpu ~tid =
   match Sink.current () with
@@ -218,7 +255,7 @@ let txn_create ~now ~txn_id ~tid ~target ~eid =
     in
     Sink.open_txn_span s ~txn_id ~id ~began:now
 
-let txn_decided ~now ~txn_id ~tid ~status ~committed =
+let txn_decided ~now ~txn_id ~tid ~status ~status_ix ~committed =
   match Sink.current () with
   | None -> ()
   | Some s ->
@@ -228,7 +265,9 @@ let txn_decided ~now ~txn_id ~tid ~status ~committed =
     let id = Sink.take_txn_span s ~txn_id in
     if id >= 0 then begin
       Metrics.observe (if committed then h_txn_commit else h_txn_fail) (now - began);
-      Sink.span_end_i1 s ~time:now ~asig:sig_status ~v0:(Sink.intern status) id
+      Sink.span_end_i1 s ~time:now ~asig:sig_status
+        ~v0:(cached_intern status_names status_ix status)
+        id
     end
 
 (* --- Agents ------------------------------------------------------------------ *)

@@ -30,7 +30,7 @@ val register_msg_kinds : string array -> unit
 val dispatch :
   now:int -> cpu:int -> tid:int -> name:string -> migrated:bool -> unit
 (** Additionally closes the thread's open wakeup→dispatch chain span and
-    observes its latency. *)
+    observes its latency.  [name]'s interned id is cached under [tid]. *)
 
 val preempt : now:int -> cpu:int -> tid:int -> unit
 val block : now:int -> cpu:int -> tid:int -> unit
@@ -64,9 +64,17 @@ val txn_create : now:int -> txn_id:int -> tid:int -> target:int -> eid:int -> un
     the thread's scheduling chain when no pass is active). *)
 
 val txn_decided :
-  now:int -> txn_id:int -> tid:int -> status:string -> committed:bool -> unit
+  now:int ->
+  txn_id:int ->
+  tid:int ->
+  status:string ->
+  status_ix:int ->
+  committed:bool ->
+  unit
 (** Closes the transaction span with its outcome; observes create→decide
-    latency into [txn.commit_latency_ns] or [txn.fail_latency_ns]. *)
+    latency into [txn.commit_latency_ns] or [txn.fail_latency_ns].
+    [status_ix] is a small dense index naming [status] (the status's
+    [Txn.status_index]): the interned id of [status] is cached under it. *)
 
 (** {1 Agents} *)
 

@@ -149,7 +149,9 @@ end
    stale entry pops at its old position).  Any per-pass scan ({!iter})
    must therefore cost O(1) per entry. *)
 module Rq = struct
-  type dedup = (int, unit) Hashtbl.t
+  type dedup = Tidtbl.Set.t
+
+  let create_dedup ?size () = Tidtbl.Set.create ?size ()
 
   type order =
     | Fifo
@@ -168,7 +170,7 @@ module Rq = struct
       order;
       fifo = Tidq.create ();
       heap = Minheap.create ();
-      queued = (match dedup with Some d -> d | None -> Hashtbl.create size);
+      queued = (match dedup with Some d -> d | None -> create_dedup ~size ());
       validate =
         (match validate with
         | Some v -> v
@@ -195,7 +197,7 @@ module Rq = struct
     | Fifo -> Tidq.iter f t.fifo
     | Least _ -> Minheap.iter f t.heap
 
-  let mem t tid = Hashtbl.mem t.queued tid
+  let mem t tid = Tidtbl.Set.mem t.queued tid
 
   (* Raw enqueue: no dedup check (the caller did it, e.g. {!Buckets}). *)
   let enqueue t tid =
@@ -206,20 +208,20 @@ module Rq = struct
   let push t ctx tid =
     match t.order with
     | Fifo ->
-      if not (Hashtbl.mem t.queued tid) then begin
-        Hashtbl.replace t.queued tid ();
+      if not (Tidtbl.Set.mem t.queued tid) then begin
+        Tidtbl.Set.add t.queued tid;
         Tidq.push tid t.fifo
       end
     | Least key ->
-      if not (Hashtbl.mem t.queued tid) then begin
+      if not (Tidtbl.Set.mem t.queued tid) then begin
         match Abi.task_by_tid ctx tid with
         | Some task ->
-          Hashtbl.replace t.queued tid ();
+          Tidtbl.Set.add t.queued tid;
           Minheap.push t.heap ~key:(key ctx task) tid
         | None -> ()
       end
 
-  let drop t tid = Hashtbl.remove t.queued tid
+  let drop t tid = Tidtbl.Set.remove t.queued tid
 
   let rec pop t ctx =
     match t.order with
@@ -232,7 +234,7 @@ module Rq = struct
   (* A popped tid: clear its dedup bit, return it if live and valid (the
      task table's own [Some] cell, no allocation), else keep popping. *)
   and take t ctx tid =
-    Hashtbl.remove t.queued tid;
+    Tidtbl.Set.remove t.queued tid;
     match Abi.task_by_tid ctx tid with
     | Some task as found when t.validate ctx task -> found
     | Some _ | None -> pop t ctx
@@ -254,22 +256,24 @@ end
 (* --- Running-interval bookkeeping (timeslice rotation) ----------------------- *)
 
 module Running = struct
-  type t = (int, int * int) Hashtbl.t  (* tid -> (cpu, started_at) *)
+  (* tid -> cpu and tid -> started_at; [cpu] says whether the tid is
+     running, [started] is only read while it is. *)
+  type t = { cpu : Tidtbl.Map.t; started : Tidtbl.Map.t }
 
-  let create () = Hashtbl.create 64
-  let note t tid ~cpu ~at = Hashtbl.replace t tid (cpu, at)
-  let forget t tid = Hashtbl.remove t tid
+  let create () = { cpu = Tidtbl.Map.create (); started = Tidtbl.Map.create () }
+
+  let note t tid ~cpu ~at =
+    Tidtbl.Map.set t.cpu tid cpu;
+    Tidtbl.Map.set t.started tid at
+
+  let forget t tid = Tidtbl.Map.remove t.cpu tid
 
   let over_slice t tid ~cpu ~now ~slice =
-    match Hashtbl.find_opt t tid with
-    | Some (c, start) -> c = cpu && now - start >= slice
-    | None -> false
+    let c = Tidtbl.Map.find t.cpu tid in
+    c >= 0 && c = cpu && now - Tidtbl.Map.find t.started tid >= slice
 
   let forget_cpu t cpu =
-    let stale =
-      Hashtbl.fold (fun tid (c, _) acc -> if c = cpu then tid :: acc else acc) t []
-    in
-    List.iter (Hashtbl.remove t) stale
+    Tidtbl.Map.iter (fun tid c -> if c = cpu then Tidtbl.Map.remove t.cpu tid) t.cpu
 end
 
 (* --- Keyed bucket queues ------------------------------------------------------ *)
@@ -288,7 +292,7 @@ module Buckets = struct
 
   let create ?(size = 16) ?(dedup_size = 256) ?validate
       ?(bucket_of = fun _ -> 0) () =
-    let queued = Hashtbl.create dedup_size in
+    let queued = Rq.create_dedup ~size:dedup_size () in
     let mk k =
       match validate with
       | None -> Rq.fifo ~dedup:queued ()
@@ -306,25 +310,25 @@ module Buckets = struct
 
   let push_to t k tid =
     (* Dedup first, bucket creation only when actually enqueueing. *)
-    if not (Hashtbl.mem t.queued tid) then begin
-      Hashtbl.replace t.queued tid ();
+    if not (Tidtbl.Set.mem t.queued tid) then begin
+      Tidtbl.Set.add t.queued tid;
       Rq.enqueue (bucket t k) tid
     end
 
   let push_auto t ctx tid =
     (* Route by the task's own key ([bucket_of]); unknown tids are ignored. *)
-    if not (Hashtbl.mem t.queued tid) then begin
+    if not (Tidtbl.Set.mem t.queued tid) then begin
       match Abi.task_by_tid ctx tid with
       | Some task ->
-        Hashtbl.replace t.queued tid ();
+        Tidtbl.Set.add t.queued tid;
         Rq.enqueue (bucket t (t.bucket_of task)) tid
       | None -> ()
     end
 
   let pop t ctx k = Rq.pop (bucket t k) ctx
   let len t k = Rq.length (bucket t k)
-  let drop t tid = Hashtbl.remove t.queued tid
-  let queued_mem t tid = Hashtbl.mem t.queued tid
+  let drop t tid = Tidtbl.Set.remove t.queued tid
+  let queued_mem t tid = Tidtbl.Set.mem t.queued tid
   let fold f t acc = Hashtbl.fold f t.tbl acc
 
   let take t k =
@@ -391,7 +395,7 @@ module Centralized = struct
     cpu_rank : Abi.t -> int list -> int list;
     donate_rank : Abi.t -> int list -> int list;
     queues : Rq.t array;
-    cls_of : (int, int) Hashtbl.t;
+    cls_of : Tidtbl.Map.t;  (* tid -> class; -1 = not yet classified *)
     running : Running.t;
     stats : stats;
     fp : Fastpath.t option;
@@ -433,13 +437,13 @@ module Centralized = struct
       Fastpath.set_slice ctx (match slice with Some s -> s | None -> 0)
 
   let class_of t ctx tid =
-    match Hashtbl.find_opt t.cls_of tid with
-    | Some c -> c
-    | None -> (
+    let c = Tidtbl.Map.find t.cls_of tid in
+    if c >= 0 then c
+    else
       match Abi.task_by_tid ctx tid with
       | Some task ->
         let c = t.classify ctx task in
-        Hashtbl.replace t.cls_of tid c;
+        Tidtbl.Map.set t.cls_of tid c;
         (* Only class-0 threads may take the expedited wakeup placement;
            the rest wait for an agent pass (collisions in the hashed map
            can let one through — a valid placement, just undeserved). *)
@@ -448,7 +452,7 @@ module Centralized = struct
           Fastpath.set_cls ctx ~cls_mask ~tid (c = 0)
         | Some _ | None -> ());
         c
-      | None -> t.nclasses - 1)
+      | None -> t.nclasses - 1
 
   let push t ctx tid =
     if t.nclasses = 1 then Rq.push t.queues.(0) ctx tid
@@ -470,7 +474,7 @@ module Centralized = struct
       | Msg_class.Died tid ->
         Running.forget t.running tid;
         Array.iter (fun q -> Rq.drop q tid) t.queues;
-        Hashtbl.remove t.cls_of tid
+        Tidtbl.Map.remove t.cls_of tid
       | Msg_class.Affinity_changed _ | Msg_class.Tick _
       | Msg_class.Cpu_available _ | Msg_class.Cpu_taken _ -> ());
       feed t ctx rest
@@ -496,7 +500,7 @@ module Centralized = struct
   let make_assign t ctx task cpu =
     let n = Array.length t.assigned in
     if cpu >= n then begin
-      let grown = Array.make (max (2 * n) (cpu + 1)) 0 in
+      let grown = Array.make (Int.max (2 * n) (cpu + 1)) 0 in
       Array.blit t.assigned 0 grown 0 n;
       t.assigned <- grown
     end;
@@ -684,7 +688,7 @@ module Centralized = struct
         cpu_rank;
         donate_rank;
         queues = Array.init nclasses (fun c -> Rq.make ~size:rq_size (queue_order c));
-        cls_of = Hashtbl.create 512;
+        cls_of = Tidtbl.Map.create ~size:512 ();
         running = Running.create ();
         stats =
           {
@@ -756,7 +760,7 @@ module Percpu = struct
     assign_charge : int;
     steal_min : int;  (* only steal from queues at least this deep *)
     runqs : Buckets.t;  (* cpu -> tids *)
-    home : (int, int) Hashtbl.t;  (* tid -> cpu *)
+    home : Tidtbl.Map.t;  (* tid -> cpu; -1 = not yet placed *)
     mutable next_home : int;
     stats : stats;
   }
@@ -770,7 +774,7 @@ module Percpu = struct
     let n = List.length cpus in
     let home = List.nth cpus (t.next_home mod n) in
     t.next_home <- t.next_home + 1;
-    Hashtbl.replace t.home tid home;
+    Tidtbl.Map.set t.home tid home;
     (match (Abi.task_by_tid ctx tid, Abi.queue_of_cpu ctx home) with
     | Some task, Some q -> (
       match Abi.associate_queue ctx task q with
@@ -783,9 +787,8 @@ module Percpu = struct
     home
 
   let home_of t ctx tid =
-    match Hashtbl.find_opt t.home tid with
-    | Some cpu -> cpu
-    | None -> place_new t ctx tid
+    let cpu = Tidtbl.Map.find t.home tid in
+    if cpu >= 0 then cpu else place_new t ctx tid
 
   (* Work stealing (§3.1): an idle agent pulls a thread from the most loaded
      CPU's runqueue and re-routes its messages to its own queue with
@@ -817,7 +820,7 @@ module Percpu = struct
           match Abi.associate_queue ctx task q with
           | Ok () ->
             t.stats.steals <- t.stats.steals + 1;
-            Hashtbl.replace t.home task.Task.tid cpu;
+            Tidtbl.Map.set t.home task.Task.tid cpu;
             Some task
           | Error `Pending_messages ->
             (* Old queue not drained yet: put it back and retry later. *)
@@ -879,7 +882,7 @@ module Percpu = struct
         assign_charge;
         steal_min;
         runqs = Buckets.create ~size:16 ~dedup_size:256 ();
-        home = Hashtbl.create 256;
+        home = Tidtbl.Map.create ();
         next_home = 0;
         stats = { scheduled = 0; estales = 0; steals = 0 };
       }
@@ -887,12 +890,7 @@ module Percpu = struct
     (* A departed CPU's runqueue and home assignments migrate to the live
        CPUs; running threads re-place via their THREAD_PREEMPTED message. *)
     let on_cpu_removed ctx cpu =
-      let stale =
-        Hashtbl.fold
-          (fun tid h acc -> if h = cpu then tid :: acc else acc)
-          t.home []
-      in
-      List.iter (fun tid -> Hashtbl.remove t.home tid) stale;
+      Tidtbl.Map.iter (fun tid h -> if h = cpu then Tidtbl.Map.remove t.home tid) t.home;
       match Buckets.take t.runqs cpu with
       | None -> ()
       | Some rq ->

@@ -80,9 +80,13 @@ end
     pop at their old positions, and are counted by {!length}; a per-pass
     scan must cost O(1) per entry. *)
 module Rq : sig
-  type dedup = (int, unit) Hashtbl.t
-  (** Shareable dedup table: pass the same one to several queues and a tid
-      lives in at most one of them ({!Buckets} is built this way). *)
+  type dedup
+  (** Shareable dedup set (a dense tid set): pass the same one to several
+      queues and a tid lives in at most one of them ({!Buckets} is built
+      this way). *)
+
+  val create_dedup : ?size:int -> unit -> dedup
+  (** An empty dedup set; [size] is its initial tid capacity. *)
 
   type order =
     | Fifo

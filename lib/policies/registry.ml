@@ -183,7 +183,7 @@ let () =
     ~doc:"ghOSt-Shinjuku: 30us preemptive centralized scheduling (Fig. 6)"
     ~knobs:
       [
-        Dsl.Knob.time "timeslice" ~default:30_000
+        Dsl.Knob.time "timeslice" ~default:Shinjuku.default_timeslice
           "preemption quantum for latency-critical threads";
         Dsl.Knob.bool "shenango_ext" ~default:false
           "Shenango extension: donate idle CPUs to batch threads";
@@ -193,7 +193,7 @@ let () =
           "task-name prefix classified batch (best-effort)";
       ]
     (fun p ->
-      let timeslice = P.int p "timeslice" ~default:30_000 in
+      let timeslice = P.int p "timeslice" ~default:Shinjuku.default_timeslice in
       let shenango_ext = P.bool p "shenango_ext" ~default:false in
       let fastpath = P.bool p "fastpath" ~default:false in
       let batch_prefix = P.string p "batch_prefix" ~default:"batch" in

@@ -1,6 +1,8 @@
 type t = Central.t
 
-let policy ?(timeslice = 30_000) ?(shenango_ext = false) ?(fastpath = false)
+let default_timeslice = 30_000
+
+let policy ?(timeslice = default_timeslice) ?(shenango_ext = false) ?(fastpath = false)
     ~is_batch () =
   let classify task = if is_batch task then Central.Be else Central.Lc in
   let t, pol =

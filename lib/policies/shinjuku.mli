@@ -13,6 +13,10 @@
 
 type t
 
+val default_timeslice : int
+(** 30 us: the preemption quantum {!policy} uses when none is given (and
+    the registry's [shinjuku] knob default). *)
+
 val policy :
   ?timeslice:int ->
   ?shenango_ext:bool ->

@@ -177,6 +177,89 @@ let cluster_reports () =
     (Array.map (fun (m : Cluster.machine_report) -> m.Cluster.scenario)
        r.Cluster.machines)
 
+(* fifo-percpu on 16 CPUs under an open loop plus spinners: idle agents
+   steal constantly, and [Percpu.try_steal] breaks ties between equally deep
+   sibling queues in [Dsl.Buckets] fold order, so this case pins that
+   order. *)
+let percpu_scenario ?controller ?(extra = []) ~cpus name =
+  Scenario.make ~seed:11 ~warmup_ns:(ms 5) ~measure_ns:(ms 20) ~cooldown_ns:(ms 5)
+    ~machine:Hw.Machines.xeon_e5_1s ?controller
+    ~enclaves:
+      (Scenario.enclave ~policy:"fifo-percpu" ~cpus
+         ~workloads:
+           [
+             Scenario.Openloop
+               {
+                 wseed = 5;
+                 rate = 400_000.0;
+                 service = Sim.Dist.Exponential 25_000.0;
+                 nworkers = 128;
+                 prefix = "w";
+               };
+             Scenario.Spin { threads = 8; thread_ns = 50_000; prefix = "spin" };
+           ]
+         "serve"
+      :: extra)
+    name
+
+let percpu_steal () =
+  Scenario.run (percpu_scenario ~cpus:(List.init 16 Fun.id) "percpu-steal")
+
+(* Local-agent resizing: a controller lends CPU 15 from a batch enclave to
+   the fifo-percpu enclave and later takes CPU 1 away from it, so the
+   local-mode resize path (agent spawn/retire, queue orphaning, watcher
+   re-pointing) and the policy's home migration run. *)
+let percpu_resize () =
+  let tick (live : Scenario.live) =
+    let now = Scenario.now live in
+    if now = ms 8 then Scenario.move_cpu live ~src:"batch" ~dst:"serve" 15
+    else if now = ms 14 then Scenario.move_cpu live ~src:"serve" ~dst:"batch" 1
+  in
+  Scenario.run
+    (percpu_scenario
+       ~controller:{ Scenario.period_ns = ms 1; tick }
+       ~cpus:(List.init 12 Fun.id)
+       ~extra:
+         [
+           Scenario.enclave ~policy:"search" ~cpus:[ 12; 13; 14; 15 ]
+             ~workloads:[ Scenario.Batch { n = 4; prefix = "batch" } ]
+             "batch";
+         ]
+       "percpu-resize")
+
+(* [Shinjuku.policy] at its own default timeslice, attached directly (not
+   through the registry), under requests long enough to be preempted: the
+   report changes when that one default does. *)
+let shinjuku_default_slice b () =
+  let k = Kernel.create Hw.Machines.xeon_e5_1s in
+  let sys = Ghost.System.install k in
+  let cpus = Kernel.Cpumask.of_list ~ncpus:(Kernel.ncpus k) (List.init 4 Fun.id) in
+  let e = Ghost.System.create_enclave sys ~cpus () in
+  let st, pol = Policies.Shinjuku.policy ~is_batch:(fun _ -> false) () in
+  let _g = Ghost.Agent.attach_global sys e pol in
+  let ol =
+    Workloads.Openloop.create k ~seed:3 ~rate:40_000.0
+      ~service:(Sim.Dist.Exponential 60_000.0) ~nworkers:32
+      ~spawn:(fun ~idx body ->
+        let t = Kernel.create_task k ~name:(Printf.sprintf "w%d" idx) body in
+        Ghost.System.manage e t;
+        Kernel.start k t;
+        t)
+  in
+  Workloads.Openloop.start ol ~until:(ms 20);
+  Kernel.run_until k (ms 40);
+  let rec_ = Workloads.Openloop.recorder ol in
+  let { Policies.Central.lc_scheduled; be_scheduled; lc_preemptions; be_evictions; estales } =
+    Policies.Shinjuku.stats st
+  in
+  pf b "offered=%d completed=%d p50=%d p99=%d\n"
+    (Workloads.Openloop.offered ol)
+    (Workloads.Recorder.completed rec_)
+    (Workloads.Recorder.p rec_ 50.0)
+    (Workloads.Recorder.p rec_ 99.0);
+  pf b "lc_scheduled=%d be_scheduled=%d lc_preemptions=%d be_evictions=%d estales=%d\n"
+    lc_scheduled be_scheduled lc_preemptions be_evictions estales
+
 let case name run = Alcotest.test_case name `Quick (fun () -> Golden.check name (run ()))
 
 let () =
@@ -200,6 +283,13 @@ let () =
               render (fun b -> List.iter (scenario_report b)) (cluster_reports ()));
           case "bpf-no-program" (fun () ->
               render bpf_identity (Experiments.Bpf_ablation.run_identity ()));
+          case "colocation-resize" (fun () ->
+              render colocation
+                (Experiments.Colocation.run ~seed:42 ~warmup_ns:(ms 5)
+                   ~measure_ns:(ms 110) ~high:300_000. ()));
+          case "percpu-steal" (fun () -> render scenario_report (percpu_steal ()));
+          case "percpu-resize" (fun () -> render scenario_report (percpu_resize ()));
+          case "shinjuku-default-slice" (fun () -> render shinjuku_default_slice ());
         ] );
       ( "smoke",
         List.map

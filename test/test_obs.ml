@@ -315,6 +315,40 @@ let test_watchdog_instant () =
         (List.mem "enclave-created" names);
       ignore (check_export_invariants (Obs.Perfetto.export_string sink)))
 
+(* With several threads starving at once, the watchdog names the lowest
+   tid, whatever order the threads were created or managed in. *)
+let test_watchdog_lowest_tid_victim () =
+  with_sink (fun sink ->
+      let k = Kernel.create (tiny 2) in
+      let sys = System.install k in
+      let e =
+        System.create_enclave sys ~watchdog_timeout:(ms 10)
+          ~cpus:(Kernel.full_mask k) ()
+      in
+      let starved name =
+        Kernel.create_task k ~name
+          (Task.compute_total ~slice:(us 100) ~total:(ms 2) (fun () -> Task.Exit))
+      in
+      let low = starved "low" in
+      let high = starved "high" in
+      List.iter
+        (fun t ->
+          System.manage e t;
+          Kernel.start k t)
+        [ high; low ];
+      Kernel.run_until k (ms 60);
+      check_bool "watchdog destroyed enclave" false (System.enclave_alive e);
+      let victims = ref [] in
+      Obs.Sink.iter sink (fun ev ->
+          match ev.Obs.Sink.kind with
+          | Obs.Sink.Instant { name = "watchdog-fire" } ->
+            victims := List.assoc "tid" ev.Obs.Sink.args :: !victims
+          | _ -> ());
+      Alcotest.(check (list string))
+        "victim is the lowest starving tid"
+        [ string_of_int low.Task.tid ]
+        !victims)
+
 let test_agent_crash_instant () =
   with_sink (fun sink ->
       let k = Kernel.create (tiny 2) in
@@ -477,6 +511,8 @@ let () =
       ( "lifecycle",
         [
           Alcotest.test_case "watchdog instant" `Quick test_watchdog_instant;
+          Alcotest.test_case "watchdog names the lowest-tid victim" `Quick
+            test_watchdog_lowest_tid_victim;
           Alcotest.test_case "agent crash instant" `Quick test_agent_crash_instant;
         ] );
       ( "drops",

@@ -560,6 +560,109 @@ let test_dsl_bounded_starvation =
           ncores nlc slice_us b1 b2 b3;
       ok)
 
+(* --- Dense tid tables -------------------------------------------------------------- *)
+
+(* Policies.Tidtbl against a Hashtbl model over random operation sequences:
+   small initial capacities force growth, and the tid range covers negative
+   and far out-of-range keys. *)
+
+module Tidtbl = Policies.Tidtbl
+
+type tid_op = Add of int | Remove of int | Mem of int | Set_to of int * int
+
+let tid_gen =
+  QCheck.Gen.(
+    frequency
+      [ (6, int_range 0 40); (2, int_range 41 700); (1, int_range (-5) (-1)) ])
+
+let tid_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> Add t) tid_gen);
+        (2, map (fun t -> Remove t) tid_gen);
+        (2, map (fun t -> Mem t) tid_gen);
+        (3, map2 (fun t v -> Set_to (t, v)) tid_gen (int_range (-2) 50));
+      ])
+
+let show_tid_op = function
+  | Add t -> Printf.sprintf "add %d" t
+  | Remove t -> Printf.sprintf "remove %d" t
+  | Mem t -> Printf.sprintf "mem %d" t
+  | Set_to (t, v) -> Printf.sprintf "set %d %d" t v
+
+let tid_ops_arb =
+  QCheck.make
+    ~print:(fun (size, ops) ->
+      Printf.sprintf "size=%d [%s]" size (String.concat "; " (List.map show_tid_op ops)))
+    QCheck.Gen.(pair (int_range 1 8) (list_size (int_range 0 200) tid_op_gen))
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* Every tid the sequence touched, plus its neighbours and the extremes. *)
+let probe_tids ops =
+  List.concat_map
+    (function
+      | Add t | Remove t | Mem t | Set_to (t, _) -> [ t - 1; t; t + 1 ])
+    ops
+  @ [ min_int; -1; 0; 10_000; max_int ]
+
+let test_tidset_model =
+  qtest ~name:"Tidtbl.Set agrees with a Hashtbl model" ~count:300 tid_ops_arb
+    (fun (size, ops) ->
+      let set = Tidtbl.Set.create ~size () in
+      let model = Hashtbl.create 16 in
+      let step = function
+        | Add t ->
+          if t < 0 then raises_invalid (fun () -> Tidtbl.Set.add set t)
+          else begin
+            Tidtbl.Set.add set t;
+            Hashtbl.replace model t ();
+            true
+          end
+        | Remove t ->
+          Tidtbl.Set.remove set t;
+          Hashtbl.remove model t;
+          true
+        | Mem t | Set_to (t, _) -> Tidtbl.Set.mem set t = Hashtbl.mem model t
+      in
+      List.for_all step ops
+      && List.for_all
+           (fun t -> Tidtbl.Set.mem set t = Hashtbl.mem model t)
+           (probe_tids ops))
+
+let test_tidmap_model =
+  qtest ~name:"Tidtbl.Map agrees with a Hashtbl model" ~count:300 tid_ops_arb
+    (fun (size, ops) ->
+      let map = Tidtbl.Map.create ~size () in
+      let model = Hashtbl.create 16 in
+      let model_find t = Option.value ~default:(-1) (Hashtbl.find_opt model t) in
+      let agrees t = Tidtbl.Map.find map t = model_find t in
+      let step = function
+        | Set_to (t, v) ->
+          if t < 0 || v < 0 then raises_invalid (fun () -> Tidtbl.Map.set map t v)
+          else begin
+            Tidtbl.Map.set map t v;
+            Hashtbl.replace model t v;
+            true
+          end
+        | Add t -> agrees t
+        | Remove t ->
+          Tidtbl.Map.remove map t;
+          Hashtbl.remove model t;
+          true
+        | Mem t -> agrees t
+      in
+      let bindings = ref [] in
+      List.for_all step ops
+      && List.for_all agrees (probe_tids ops)
+      && begin
+           Tidtbl.Map.iter (fun t v -> bindings := (t, v) :: !bindings) map;
+           List.rev !bindings
+           = List.sort compare (Hashtbl.fold (fun t v acc -> (t, v) :: acc) model [])
+         end)
+
 (* --- Task combinators --------------------------------------------------------------- *)
 
 let test_compute_total_sums =
@@ -589,6 +692,7 @@ let () =
         test_uniform_class_identity;
         test_dsl_work_conservation; test_dsl_no_lost_threads;
         test_dsl_bounded_starvation; test_compute_total_sums;
+        test_tidset_model; test_tidmap_model;
       ]
   in
   Alcotest.run "properties" [ ("model-based", suite) ]

@@ -6,6 +6,11 @@
    sources and fails on any dotted reference outside the per-directory
    ruleset.
 
+   The "hotpath" ruleset holds the modules on the simulator's per-event
+   path to dense tables and monomorphic compares: no [Hashtbl] reference
+   (outside a named, justified exemption) and no polymorphic [compare],
+   [max] or [min], unqualified or as [Stdlib.*].
+
    Comments and string literals are stripped first, so prose mentioning
    {!Ghost.System.bpf_install} doesn't trip the lint.  Aliasing a
    restricted module to another name is itself a violation — it would
@@ -22,6 +27,11 @@ type ruleset = {
   why : string;  (* Appended to every violation report. *)
   agent_sw_checks : bool;
       (* Also run the Agent-backdoor and Status_word-mutation checks. *)
+  poly_checks : bool;
+      (* Also reject the polymorphic [compare]/[max]/[min]. *)
+  exempt : string list;
+      (* Top-level modules (a [module M = struct ... end] at column 0)
+         whose restricted references are allowed; each entry says why. *)
 }
 
 let ruleset = function
@@ -41,6 +51,8 @@ let ruleset = function
         ];
       why = "bypasses the agent ABI (use Ghost.Abi / Scenario accessors)";
       agent_sw_checks = true;
+      poly_checks = false;
+      exempt = [];
     }
   | "scenario" ->
     {
@@ -79,6 +91,8 @@ let ruleset = function
         ];
       why = "bypasses the agent ABI (use Ghost.Abi / Scenario accessors)";
       agent_sw_checks = true;
+      poly_checks = false;
+      exempt = [];
     }
   | "bpf" ->
     {
@@ -94,6 +108,8 @@ let ruleset = function
       allowed = [];
       why = "breaks BPF purity (lib/bpf sees only Prog/Snapshot/maps)";
       agent_sw_checks = false;
+      poly_checks = false;
+      exempt = [];
     }
   | "dsl" ->
     {
@@ -107,6 +123,29 @@ let ruleset = function
       allowed = [ ("Ghost", "Abi") ];
       why = "reaches around the policy DSL (use Dsl.* / Ghost.Abi only)";
       agent_sw_checks = true;
+      poly_checks = false;
+      exempt = [];
+    }
+  | "hotpath" ->
+    {
+      (* The per-event path (kernel dispatch, the ghOSt class, agent passes,
+         the DSL templates) reaches per-thread and per-CPU state through
+         dense tid- and CPU-indexed arrays: a [Hashtbl] lookup costs a
+         [caml_hash] call plus a polymorphic key compare, and the
+         polymorphic [compare]/[max]/[min] are C calls where [Int.*] and
+         [Float.*] are a few instructions. *)
+      restricted = [ "Hashtbl" ];
+      allowed = [];
+      why = "hashes on the per-event path (use a dense tid- or CPU-indexed table)";
+      agent_sw_checks = false;
+      poly_checks = true;
+      exempt =
+        [
+          (* Dsl.Buckets.tbl (bucket key -> run queue) stays a Hashtbl:
+             Percpu.try_steal breaks ties between equally deep queues in
+             its fold order, which the percpu-steal golden pins. *)
+          "Buckets";
+        ];
     }
   | other -> failwith (Printf.sprintf "abi_lint: no ruleset for %S" other)
 
@@ -173,8 +212,9 @@ let strip source =
   done;
   Buffer.contents b
 
-(* Dotted identifier tokens of one (already stripped) line. *)
-let tokens_of_line line =
+(* Dotted identifier tokens of one (already stripped) line, with their
+   start columns. *)
+let tokens_with_pos line =
   let toks = ref [] in
   let n = String.length line in
   let i = ref 0 in
@@ -188,11 +228,50 @@ let tokens_of_line line =
       do
         incr i
       done;
-      toks := String.sub line start (!i - start) :: !toks
+      toks := (start, String.sub line start (!i - start)) :: !toks
     end
     else incr i
   done;
   List.rev !toks
+
+let tokens_of_line line = List.map snd (tokens_with_pos line)
+
+let poly_banned = [ "compare"; "max"; "min" ]
+
+(* The polymorphic compare/max/min, used (not bound, not a label) on the
+   line: a bare name, or spelled through [Stdlib]. *)
+let poly_uses line =
+  let rec scan prev = function
+    | [] -> []
+    | (pos, tok) :: rest ->
+      let name =
+        match String.split_on_char '.' tok with
+        | [ n ] -> Some n
+        | [ "Stdlib"; n ] -> Some n
+        | _ -> None
+      in
+      let binding = match prev with Some ("let" | "and" | "rec" | "val") -> true | _ -> false in
+      let label = pos > 0 && (line.[pos - 1] = '~' || line.[pos - 1] = '?') in
+      let hits =
+        match name with
+        | Some n when List.mem n poly_banned && not (binding || label) -> [ (tok, n) ]
+        | Some _ | None -> []
+      in
+      hits @ scan (Some tok) rest
+  in
+  scan None (tokens_with_pos line)
+
+(* [module NAME = struct] opening at column 0, if any. *)
+let top_module_open line =
+  match tokens_of_line line with
+  | "module" :: name :: rest
+    when String.length line > 0 && line.[0] = 'm' && List.mem "struct" rest ->
+    Some name
+  | _ -> None
+
+let top_module_close line =
+  String.length line >= 3 && String.sub line 0 3 = "end"
+  && (String.length line = 3 || not (is_ident_char line.[3]))
 
 let module_binding line =
   (* ["module NAME ="] on an already stripped line, if any. *)
@@ -210,7 +289,14 @@ let report ~file ~lnum fmt =
       Printf.eprintf "%s:%d: %s\n" file lnum msg)
     fmt
 
-let check_line ~rules ~file ~lnum line =
+let check_line ~rules ~file ~lnum ~in_module line =
+  let exempt = match in_module with Some m -> List.mem m rules.exempt | None -> false in
+  if rules.poly_checks then
+    List.iter
+      (fun (tok, name) ->
+        report ~file ~lnum "%s is polymorphic (use Int.%s / Float.%s or a match)"
+          tok name name)
+      (poly_uses line);
   List.iter
     (fun tok ->
       let comps = String.split_on_char '.' tok in
@@ -220,7 +306,8 @@ let check_line ~rules ~file ~lnum line =
           if List.mem m rules.restricted then begin
             if
               not
-                (List.mem (m, next) rules.allowed
+                (exempt
+                || List.mem (m, next) rules.allowed
                 || List.mem (m, "*") rules.allowed)
             then report ~file ~lnum "%s.%s %s" m next rules.why
           end
@@ -260,7 +347,14 @@ let check_file ~rules file =
   let source = really_input_string ic len in
   close_in ic;
   let lines = String.split_on_char '\n' (strip source) in
-  List.iteri (fun i line -> check_line ~rules ~file ~lnum:(i + 1) line) lines
+  let in_module = ref None in
+  List.iteri
+    (fun i line ->
+      (match top_module_open line with
+      | Some m -> in_module := Some m
+      | None -> if top_module_close line then in_module := None);
+      check_line ~rules ~file ~lnum:(i + 1) ~in_module:!in_module line)
+    lines
 
 let check_dir ?rules dir =
   let rules =
